@@ -12,7 +12,6 @@ from .core import (
     DimensionError,
     apply,
     basis_state,
-    kron,
     max_entry_dist,
     mod_d,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "DimensionError",
     "apply",
     "basis_state",
-    "kron",
     "max_entry_dist",
     "mod_d",
     "GateKind",

@@ -17,10 +17,8 @@ from .core import (
     DimensionError,
     GateMatrix,
     StateVector,
+    _act,
     _check_dim,
-    apply,
-    flat_to_digits,
-    permutation_matrix,
 )
 from .gates import (
     GateKind,
@@ -105,84 +103,50 @@ def _check_budget(d: int, n: int) -> None:
         )
 
 
-def _embedded_perm(op: GateOp, n: int, gate_perm: tuple[int, ...]) -> list[int]:
-    """Full-register permutation table of a permutation gate on given wires."""
-    d = op.d
-    size = d**n
-    wire_pos = [w - 1 for w in op.wires]
-    perm = [0] * size
-    for j in range(size):
-        digits = list(flat_to_digits(j, d, n))
-        sub = 0
-        for p in wire_pos:
-            sub = sub * d + digits[p]
-        sub_t = gate_perm[sub]
-        for p in reversed(wire_pos):
-            digits[p] = sub_t % d
-            sub_t //= d
-        flat = 0
-        for x in digits:
-            flat = flat * d + x
-        perm[j] = flat
-    return perm
+def _apply_op(op: GateOp, t: np.ndarray) -> np.ndarray:
+    """Apply ``op`` to a ``(d,)*n + (cols,)`` array, touching only its wire axes.
 
-
-def _apply_gate_to_columns(op: GateOp, g: GateMatrix, m: np.ndarray, n: int) -> np.ndarray:
-    """Left-multiply the embedded gate into a (d^n, cols) array of columns.
-
-    Contracts only the gate's own wire axes, avoiding a full-size product.
+    The wire axes are moved to the front and flattened into rows, so a table
+    moves rows, phases scale them and a dense gate multiplies them; the
+    result has the input's shape.
     """
-    d = op.d
     k = len(op.wires)
-    wire_pos = [w - 1 for w in op.wires]
-    cols = m.shape[1]
-    t = m.reshape((d,) * n + (cols,))
-    gt = g.entries.reshape((d,) * (2 * k))
-    out = np.tensordot(gt, t, axes=(list(range(k, 2 * k)), wire_pos))
-    out = np.moveaxis(out, list(range(k)), wire_pos)
-    return np.ascontiguousarray(out).reshape(d**n, cols)
+    axes = [w - 1 for w in op.wires]
+    front = np.moveaxis(t, axes, range(k))
+    rows = _act(gate_matrix(op.kind, op.d), front.reshape(op.d**k, -1))
+    return np.moveaxis(rows.reshape(front.shape), range(k), axes)
 
 
 def embed(op: GateOp, n: int) -> GateMatrix:
-    """Lift a gate onto the named wires of an n-wire register.
+    """Lift a gate onto the named wires of an n-wire register."""
+    return circuit_unitary(Circuit(op.d, n, (op,)))
 
-    Permutation gates embed via exact index arithmetic; dense gates via
-    tensor contraction against the identity.
-    """
-    d = op.d
-    if any(w > n for w in op.wires):
-        raise ValueError(f"wire out of range in {op.wires} for n={n}")
-    _check_budget(d, n)
-    g = gate_matrix(op.kind, d)
-    if g.perm is not None:
-        return permutation_matrix(_embedded_perm(op, n, g.perm))
-    eye = np.eye(d**n, dtype=np.complex128)
-    return GateMatrix(_apply_gate_to_columns(op, g, eye, n))
+
+def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
+    """Apply every op of ``c`` to the d^n rows of ``t``; returns (d^n, cols)."""
+    t = t.reshape((c.d,) * c.n + (-1,))
+    for op in c.ops:
+        t = _apply_op(op, t)
+    return t.reshape(c.d**c.n, -1)
 
 
 def circuit_unitary(c: Circuit) -> GateMatrix:
     """Ordered product of embedded ops; first op is the rightmost factor.
 
-    The result carries an exact permutation table when every op is a
-    permutation gate.
+    A circuit of permutation gates gives an exact table and one of phase
+    gates a phase vector, neither through a d^n x d^n array; any other
+    circuit is applied to the identity's columns.
     """
     _check_budget(c.d, c.n)
     size = c.d**c.n
-    mat = np.eye(size, dtype=np.complex128)
-    perm: list[int] | None = list(range(size))
-    for op in c.ops:
-        g = gate_matrix(op.kind, c.d)
-        if g.perm is not None:
-            table = _embedded_perm(op, c.n, g.perm)
-            out = np.empty_like(mat)
-            out[np.asarray(table)] = mat
-            mat = out
-            if perm is not None:
-                perm = [table[p] for p in perm]
-        else:
-            mat = _apply_gate_to_columns(op, g, mat, c.n)
-            perm = None
-    return GateMatrix(mat, tuple(perm) if perm is not None else None)
+    gates = [gate_matrix(op.kind, c.d) for op in c.ops]
+    if all(g.perm is not None for g in gates):
+        # entry i of the result is the label that lands on i: the inverse table
+        return GateMatrix(perm=_run(c, np.arange(size))[:, 0]).dagger()
+    if all(g.phases is not None for g in gates):
+        # matmul then scales a dense factor's rows by it, as the kernel does
+        return GateMatrix(phases=_run(c, np.ones(size, dtype=np.complex128))[:, 0])
+    return GateMatrix(_run(c, np.eye(size, dtype=np.complex128)))
 
 
 def simulate(c: Circuit, s: StateVector) -> StateVector:
@@ -191,9 +155,8 @@ def simulate(c: Circuit, s: StateVector) -> StateVector:
         raise DimensionError(
             f"state ({s.d}, {s.n}) does not match circuit ({c.d}, {c.n})"
         )
-    for op in c.ops:
-        s = apply(embed(op, c.n), s)
-    return s
+    _check_budget(c.d, c.n)
+    return StateVector(c.d, c.n, _run(c, s.amps)[:, 0])
 
 
 def swap_circuit(d: int) -> Circuit:

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .circuit import Circuit, circuit_unitary, gate_matrix, simulate
+from .circuit import Circuit, _check_budget, gate_matrix, simulate
 from .core import StateVector, basis_state, flat_to_digits
 from .dsl import MNEMONICS, ParseError, parse, render
-from .verify import VerificationReport, verify_all
+from .verify import VerificationReport, check_d_range, verify_all
 
 AMP_EPSILON = 1e-12
 
@@ -24,13 +25,18 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_verify(args) -> int:
-    if not (2 <= args.d_min <= args.d_max <= 64):
-        print(
-            f"error: need 2 <= d-min <= d-max <= 64, got ({args.d_min}, {args.d_max})",
-            file=sys.stderr,
-        )
-        return 2
+    try:
+        check_d_range(args.d_min, args.d_max)
+    except ValueError as exc:
+        return _usage_error(f"--d-min {args.d_min} --d-max {args.d_max}: {exc}")
+    if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
+        return _usage_error(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     reports = verify_all(args.d_min, args.d_max, seed=args.seed)
     if args.tolerance is not None:
         reports = [
@@ -66,11 +72,11 @@ def cmd_verify(args) -> int:
 def cmd_matrix(args) -> int:
     kind = MNEMONICS.get(args.gate)
     if kind is None:
-        print(f"error: unknown gate mnemonic {args.gate!r}", file=sys.stderr)
-        return 2
-    if not 2 <= args.d <= 64:
-        print(f"error: d must be in 2..64, got {args.d}", file=sys.stderr)
-        return 2
+        return _usage_error(f"unknown gate mnemonic {args.gate!r}")
+    try:
+        check_d_range(args.d, args.d)
+    except ValueError as exc:
+        return _usage_error(exc)
     m = gate_matrix(kind, args.d).entries
     if args.format == "json":
         rows = [[[float(v.real), float(v.imag)] for v in row] for row in m]
@@ -95,22 +101,27 @@ def _load_state(path: str, d: int, n: int) -> StateVector:
     return StateVector(d, n, np.asarray(amps))
 
 
-def cmd_simulate(args) -> int:
+def _read_circuit(path: str) -> Circuit | None:
+    """Parse a .qc file, or print why it cannot be read and return None."""
     try:
-        with open(args.circuit, encoding="utf-8") as fh:
-            circ = parse(fh.read())
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    return None
 
-    if (args.input is None) == (args.state is None):
-        print("error: exactly one of --input / --state is required", file=sys.stderr)
+
+def cmd_simulate(args) -> int:
+    circ = _read_circuit(args.circuit)
+    if circ is None:
         return 2
+    if (args.input is None) == (args.state is None):
+        return _usage_error("exactly one of --input / --state is required")
     basis_input = None
     try:
+        _check_budget(circ.d, circ.n)  # before the state allocates d^n amplitudes
         if args.input is not None:
             digits = tuple(int(t) for t in args.input.split(","))
             if len(digits) != circ.n:
@@ -120,11 +131,11 @@ def cmd_simulate(args) -> int:
         else:
             state = _load_state(args.state, circ.d, circ.n)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
 
     out = simulate(circ, state)
-    permutation_only = circuit_unitary(circ).perm is not None
+    permutation_only = all(gate_matrix(op.kind, circ.d).perm is not None
+                           for op in circ.ops)
     if basis_input is not None and permutation_only:
         idx = int(np.argmax(np.abs(out.amps)))
         label = flat_to_digits(idx, circ.d, circ.n)
@@ -148,14 +159,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    try:
-        with open(args.circuit, encoding="utf-8") as fh:
-            circ = parse(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    circ = _read_circuit(args.circuit)
+    if circ is None:
         return 2
     sys.stdout.write(render(circ))
     return 0

@@ -5,14 +5,16 @@ Conventions used everywhere in the package:
 * Wires are numbered 1..n, wire 1 on top.  Wire 1 is the most significant
   mixed-radix digit, so a two-qudit basis state |x>|y> sits at flat index
   ``x * d + y``.
-* All matrices are dense complex128.  Gates that permute basis states carry
-  an exact integer permutation table alongside the dense view, so identities
-  on the permutation path can be asserted with zero tolerance.
+* A gate holds exactly one of three forms: an integer index table for a
+  basis permutation, a complex phase vector for a diagonal gate, or a dense
+  complex128 matrix (the QFT, and unitaries that are neither).  The dense
+  view of a table or a phase vector is built only when ``entries`` is read,
+  and identities between tables are asserted exactly, with zero tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,56 +83,76 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateMatrix:
-    """Dense unitary with an optional exact permutation table.
+    """A gate on ``dim`` basis states, held in exactly one form.
 
-    ``perm[j]`` is the target basis index of source index ``j``.  When
-    present, the dense view has entries exactly 0 and 1.
+    * ``perm``: read-only integer table of a basis permutation; ``perm[j]``
+      is the target basis index of source index ``j``.
+    * ``phases``: the complex diagonal of a diagonal gate.
+    * ``matrix``: a dense square matrix, for gates that are neither.
+
+    A dense matrix given together with a table must be the table's 0/1
+    matrix; only the table is kept.
     """
 
-    entries: np.ndarray
-    perm: tuple[int, ...] | None = field(default=None)
+    matrix: np.ndarray | None = None
+    perm: np.ndarray | None = None
+    phases: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"gate matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("non-finite matrix entry")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-        if self.perm is not None:
-            perm = tuple(int(p) for p in self.perm)
-            if sorted(perm) != list(range(m.shape[0])):
+        m, perm, phases = self.matrix, self.perm, self.phases
+        if perm is not None:
+            perm = np.array(perm, dtype=np.intp)
+            if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(perm.size)):
                 raise ValueError("perm table is not a bijection")
-            object.__setattr__(self, "perm", perm)
+        if phases is not None:
+            phases = np.array(phases, dtype=np.complex128)
+            if phases.ndim != 1:
+                raise DimensionError(f"phases must be a vector, got {phases.shape}")
+        if m is not None:
+            m = np.asarray(m, dtype=np.complex128)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise DimensionError(f"gate matrix must be square, got {m.shape}")
+            if perm is not None:
+                if not np.array_equal(m, GateMatrix(perm=perm).entries):
+                    raise ValueError("dense matrix does not match the perm table")
+                m = None
+        held = [a for a in (m, perm, phases) if a is not None]
+        if len(held) != 1:
+            raise ValueError("a gate needs exactly one of matrix, perm, phases")
+        if not np.all(np.isfinite(held[0])):
+            raise ValueError("non-finite matrix entry")
+        held[0].setflags(write=False)
+        for name, value in (("matrix", m), ("perm", perm), ("phases", phases)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return len(next(a for a in (self.matrix, self.perm, self.phases) if a is not None))
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense complex128 matrix; built on each read unless the gate is dense."""
+        if self.matrix is not None:
+            return self.matrix
+        if self.phases is not None:
+            return np.diag(self.phases)
+        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        m[self.perm, np.arange(self.dim)] = 1.0
+        return m
 
     def dagger(self) -> "GateMatrix":
-        inv = None
         if self.perm is not None:
-            inv = [0] * len(self.perm)
-            for src, dst in enumerate(self.perm):
-                inv[dst] = src
-            inv = tuple(inv)
-        return GateMatrix(self.entries.conj().T, inv)
-
-
-def permutation_matrix(perm: list[int] | tuple[int, ...]) -> GateMatrix:
-    """Build the dense 0/1 matrix of a basis permutation."""
-    dim = len(perm)
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for src, dst in enumerate(perm):
-        m[dst, src] = 1.0
-    return GateMatrix(m, tuple(perm))
+            # the inverse of a permutation table is its argsort
+            return GateMatrix(perm=np.argsort(self.perm))
+        if self.phases is not None:
+            return GateMatrix(phases=self.phases.conj())
+        return GateMatrix(self.matrix.conj().T)
 
 
 def identity_matrix(dim: int) -> GateMatrix:
-    return permutation_matrix(list(range(dim)))
+    return GateMatrix(perm=np.arange(dim))
 
 
 def basis_state(digits: tuple[int, ...], d: int) -> StateVector:
@@ -142,15 +164,18 @@ def basis_state(digits: tuple[int, ...], d: int) -> StateVector:
     return StateVector(d, n, amps)
 
 
-def kron(a: GateMatrix, b: GateMatrix) -> GateMatrix:
-    """Kronecker product; factor ``a`` acts on the more significant digits."""
-    perm = None
-    if a.perm is not None and b.perm is not None:
-        db = b.dim
-        perm = tuple(
-            a.perm[j // db] * db + b.perm[j % db] for j in range(a.dim * b.dim)
-        )
-    return GateMatrix(np.kron(a.entries, b.entries), perm)
+def _act(g: GateMatrix, t: np.ndarray) -> np.ndarray:
+    """Apply ``g`` along axis 0 of an array with ``g.dim`` rows.
+
+    A table moves rows, phases scale them, a dense matrix multiplies them.
+    """
+    if g.perm is not None:
+        out = np.empty_like(t)
+        out[g.perm] = t
+        return out
+    if g.phases is not None:
+        return g.phases.reshape((-1,) + (1,) * (t.ndim - 1)) * t
+    return g.matrix @ t
 
 
 def apply(m: GateMatrix, s: StateVector) -> StateVector:
@@ -159,26 +184,26 @@ def apply(m: GateMatrix, s: StateVector) -> StateVector:
         raise DimensionError(
             f"gate dimension {m.dim} does not match state size {s.amps.shape[0]}"
         )
-    if m.perm is not None:
-        out = np.empty_like(s.amps)
-        out[np.asarray(m.perm)] = s.amps
-    else:
-        out = m.entries @ s.amps
-    return StateVector(s.d, s.n, out)
+    return StateVector(s.d, s.n, _act(m, s.amps))
 
 
 def max_entry_dist(a: GateMatrix, b: GateMatrix) -> float:
-    """Max absolute entrywise deviation; exact equality metric, no phase slack."""
+    """Max absolute entrywise deviation; exact equality metric, no phase slack.
+
+    Two tables are compared exactly: 0.0 when equal, else 1.0, the deviation
+    of their 0/1 matrices.
+    """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if a.perm is not None and b.perm is not None:
+        return 0.0 if np.array_equal(a.perm, b.perm) else 1.0
     return float(np.max(np.abs(a.entries - b.entries)))
 
 
 def matmul(a: GateMatrix, b: GateMatrix) -> GateMatrix:
-    """Product a @ b, composing perm tables exactly when both are present."""
+    """Product a @ b; two tables compose as a table."""
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    perm = None
     if a.perm is not None and b.perm is not None:
-        perm = tuple(a.perm[b.perm[j]] for j in range(a.dim))
-    return GateMatrix(a.entries @ b.entries, perm)
+        return GateMatrix(perm=a.perm[b.perm])
+    return GateMatrix(_act(a, b.entries))

@@ -13,7 +13,7 @@ import enum
 
 import numpy as np
 
-from .core import GateMatrix, _check_dim, mod_d, permutation_matrix
+from .core import GateMatrix, _check_dim, identity_matrix
 
 
 class GateKind(enum.Enum):
@@ -37,13 +37,18 @@ class GateKind(enum.Enum):
         return 2
 
 
+def _digits(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Digit arrays (x, y) of every two-qudit flat index x * d + y, in order."""
+    _check_dim(d)
+    return np.divmod(np.arange(d * d), d)
+
+
 def qft(d: int) -> GateMatrix:
     """Quantum Fourier transform: entry (k, x) = e^{i 2pi x k / d} / sqrt(d)."""
-    _check_dim(d)
-    k, x = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    k, x = _digits(d)
     # reduce the product mod d before the trig call to bound the argument
     phase = 2.0 * np.pi * ((k * x) % d) / d
-    return GateMatrix((np.cos(phase) + 1j * np.sin(phase)) / np.sqrt(d))
+    return GateMatrix(((np.cos(phase) + 1j * np.sin(phase)) / np.sqrt(d)).reshape(d, d))
 
 
 def iqft(d: int) -> GateMatrix:
@@ -52,13 +57,9 @@ def iqft(d: int) -> GateMatrix:
 
 
 def _cphase(d: int, sign: int) -> GateMatrix:
-    _check_dim(d)
-    diag = np.empty(d * d, dtype=np.complex128)
-    for x in range(d):
-        for y in range(d):
-            phase = sign * 2.0 * np.pi * ((x * y) % d) / d
-            diag[x * d + y] = complex(np.cos(phase), np.sin(phase))
-    return GateMatrix(np.diag(diag))
+    x, y = _digits(d)
+    phase = sign * 2.0 * np.pi * ((x * y) % d) / d
+    return GateMatrix(phases=np.cos(phase) + 1j * np.sin(phase))
 
 
 def cz_d(d: int) -> GateMatrix:
@@ -71,31 +72,25 @@ def cz_d_dag(d: int) -> GateMatrix:
     return _cphase(d, -1)
 
 
-def _two_qudit_perm(d: int, target_digit) -> GateMatrix:
-    _check_dim(d)
-    perm = [0] * (d * d)
-    for x in range(d):
-        for y in range(d):
-            perm[x * d + y] = x * d + target_digit(x, y)
-    return permutation_matrix(perm)
-
-
 def cx_tilde(d: int) -> GateMatrix:
     """The negated-sum gate (x, y) -> (x, -x-y mod d); an involution.
 
     At d=2 this is the CNOT.
     """
-    return _two_qudit_perm(d, lambda x, y: mod_d(-x - y, d))
+    x, y = _digits(d)
+    return GateMatrix(perm=x * d + (-x - y) % d)
 
 
 def cx_d(d: int) -> GateMatrix:
     """Controlled modular adder (x, y) -> (x, x+y mod d)."""
-    return _two_qudit_perm(d, lambda x, y: mod_d(x + y, d))
+    x, y = _digits(d)
+    return GateMatrix(perm=x * d + (x + y) % d)
 
 
 def cx_d_dag(d: int) -> GateMatrix:
     """Controlled modular subtractor (x, y) -> (x, y-x mod d)."""
-    return _two_qudit_perm(d, lambda x, y: mod_d(y - x, d))
+    x, y = _digits(d)
+    return GateMatrix(perm=x * d + (y - x) % d)
 
 
 def x_d(d: int) -> GateMatrix:
@@ -104,20 +99,16 @@ def x_d(d: int) -> GateMatrix:
     Note: at d=2 this is the identity (-x = x mod 2), not the qubit NOT.
     """
     _check_dim(d)
-    return permutation_matrix([mod_d(-x, d) for x in range(d)])
+    return GateMatrix(perm=-np.arange(d) % d)
 
 
 def swap_ref(d: int) -> GateMatrix:
     """Ground-truth SWAP permutation (x, y) -> (y, x)."""
-    _check_dim(d)
-    perm = [0] * (d * d)
-    for x in range(d):
-        for y in range(d):
-            perm[x * d + y] = y * d + x
-    return permutation_matrix(perm)
+    x, y = _digits(d)
+    return GateMatrix(perm=y * d + x)
 
 
 def identity_gate(d: int, wires: int = 1) -> GateMatrix:
     """Identity on the given number of qudit wires."""
     _check_dim(d)
-    return permutation_matrix(list(range(d**wires)))
+    return identity_matrix(d**wires)

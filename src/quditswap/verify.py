@@ -83,17 +83,19 @@ def verify_self_inverse(d: int) -> VerificationReport:
 
 
 def verify_delta_sum(d: int) -> VerificationReport:
-    """Geometric sum over d-th roots of unity collapses to d * delta."""
+    """Geometric sum over d-th roots of unity collapses to d * delta.
+
+    The sum over k of e^{i 2pi (x+y+l) k / d} depends on x, y, l only
+    through the unreduced m = x+y+l in 0..3d-3, so it is evaluated once per
+    m, adding the k terms in order.
+    """
     _check_dim(d)
-    worst = 0.0
-    for x in range(d):
-        for y in range(d):
-            for l in range(d):
-                total = sum(
-                    np.exp(2j * np.pi * (x + y + l) * k / d) for k in range(d)
-                )
-                expected = d if (x + y + l) % d == 0 else 0
-                worst = max(worst, float(abs(total - expected)))
+    m = np.arange(3 * d - 2)[:, None]
+    k = np.arange(d)
+    terms = np.exp(1j * (2.0 * np.pi * m * k / d))
+    total = np.cumsum(terms, axis=1)[:, -1]
+    expected = np.where(m[:, 0] % d == 0, d, 0)
+    worst = float(np.max(np.abs(total - expected)))
     return VerificationReport("delta_sum", d, worst, 1e-9 * d)
 
 
@@ -142,10 +144,18 @@ def random_state_check(d: int, seed: int = 42, trials: int = 100) -> Verificatio
     return VerificationReport("random_states", d, worst, DENSE_TOL)
 
 
+def check_d_range(d_min: int, d_max: int) -> None:
+    """Raise ValueError unless 2 <= d_min <= d_max <= 64, the range the suite covers."""
+    for d in (d_min, d_max):
+        if not 2 <= d <= 64:
+            raise ValueError(f"d must be in 2..64, got {d}")
+    if d_min > d_max:
+        raise ValueError(f"empty d range {d_min}..{d_max}")
+
+
 def verify_all(d_min: int, d_max: int, seed: int = 42) -> list[VerificationReport]:
     """Run every identity check for each d in [d_min, d_max], in order."""
-    if not (2 <= d_min <= d_max <= 64):
-        raise ValueError(f"need 2 <= d_min <= d_max <= 64, got ({d_min}, {d_max})")
+    check_d_range(d_min, d_max)
     reports: list[VerificationReport] = []
     for d in range(d_min, d_max + 1):
         reports.append(verify_swap(d))

@@ -1,0 +1,135 @@
+"""Slow reference implementations that the package's fast paths are checked against.
+
+Everything here is written with per-index Python loops or dense matrices
+straight from the paper's formulas, so it shares no code with the index
+tables, phase vectors and wire-axis kernel of the package.  Sizes stay small.
+"""
+
+import numpy as np
+
+from quditswap.core import GateMatrix, flat_to_digits
+from quditswap.gates import GateKind
+
+# basis map of each permutation gate, (control, target) -> (control, target)
+_PAIR_MAPS = {
+    GateKind.CXTilde: lambda x, y, d: (x, (-x - y) % d),
+    GateKind.CXd: lambda x, y, d: (x, (x + y) % d),
+    GateKind.CXdDag: lambda x, y, d: (x, (y - x) % d),
+    GateKind.SWAP: lambda x, y, d: (y, x),
+}
+
+
+def perm_table(kind: GateKind, d: int) -> tuple[int, ...] | None:
+    """Basis permutation of a gate kind, or None when the gate is not one."""
+    if kind is GateKind.Xd:
+        return tuple((-x) % d for x in range(d))
+    if kind is GateKind.Identity:
+        return tuple(range(d))
+    step = _PAIR_MAPS.get(kind)
+    if step is None:
+        return None
+    perm = [0] * (d * d)
+    for x in range(d):
+        for y in range(d):
+            xo, yo = step(x, y, d)
+            perm[x * d + y] = xo * d + yo
+    return tuple(perm)
+
+
+def permutation_matrix(perm) -> np.ndarray:
+    """Dense 0/1 matrix of a basis permutation, filled entry by entry."""
+    dim = len(perm)
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for src, dst in enumerate(perm):
+        m[dst, src] = 1.0
+    return m
+
+
+def gate_entries(kind: GateKind, d: int) -> np.ndarray:
+    """Dense matrix of a gate kind from the paper's formulas."""
+    perm = perm_table(kind, d)
+    if perm is not None:
+        return permutation_matrix(perm)
+    if kind in (GateKind.QFT, GateKind.IQFT):
+        sign = 1 if kind is GateKind.QFT else -1
+        return np.array(
+            [[np.exp(sign * 2j * np.pi * x * k / d) for x in range(d)] for k in range(d)]
+        ) / np.sqrt(d)
+    sign = 1 if kind is GateKind.CZd else -1
+    return np.diag([np.exp(sign * 2j * np.pi * x * y / d) for x in range(d) for y in range(d)])
+
+
+def embedded_perm(op, n: int, gate_perm) -> list[int]:
+    """Full-register permutation table of a permutation gate on given wires."""
+    d = op.d
+    wire_pos = [w - 1 for w in op.wires]
+    perm = [0] * d**n
+    for j in range(d**n):
+        digits = list(flat_to_digits(j, d, n))
+        sub = 0
+        for p in wire_pos:
+            sub = sub * d + digits[p]
+        sub_t = gate_perm[sub]
+        for p in reversed(wire_pos):
+            digits[p] = sub_t % d
+            sub_t //= d
+        flat = 0
+        for x in digits:
+            flat = flat * d + x
+        perm[j] = flat
+    return perm
+
+
+def embed(op, n: int) -> np.ndarray:
+    """Dense d^n x d^n matrix of a gate on its wires of an n-wire register.
+
+    Permutation gates go through :func:`embedded_perm`; other gates are
+    contracted against the identity on their own wire axes.
+    """
+    d = op.d
+    perm = perm_table(op.kind, d)
+    if perm is not None:
+        return permutation_matrix(embedded_perm(op, n, perm))
+    k = len(op.wires)
+    wire_pos = [w - 1 for w in op.wires]
+    size = d**n
+    t = np.eye(size, dtype=np.complex128).reshape((d,) * n + (size,))
+    gt = gate_entries(op.kind, d).reshape((d,) * (2 * k))
+    out = np.tensordot(gt, t, axes=(list(range(k, 2 * k)), wire_pos))
+    out = np.moveaxis(out, list(range(k)), wire_pos)
+    return np.ascontiguousarray(out).reshape(size, size)
+
+
+def unitary(c) -> np.ndarray:
+    """Product of the dense embeddings, first op as the rightmost factor."""
+    u = np.eye(c.d**c.n, dtype=np.complex128)
+    for op in c.ops:
+        u = embed(op, c.n) @ u
+    return u
+
+
+def simulate(c, amps: np.ndarray) -> np.ndarray:
+    """Embed each op as a dense matrix and apply it to the amplitudes."""
+    for op in c.ops:
+        amps = embed(op, c.n) @ amps
+    return amps
+
+
+def kron(a: GateMatrix, b: GateMatrix) -> GateMatrix:
+    """Kronecker product; factor ``a`` acts on the more significant digits."""
+    if a.perm is not None and b.perm is not None:
+        db = b.dim
+        return GateMatrix(perm=[a.perm[j // db] * db + b.perm[j % db] for j in range(a.dim * db)])
+    return GateMatrix(np.kron(a.entries, b.entries))
+
+
+def delta_sum_max_dev(d: int) -> float:
+    """Worst |sum_k e^{i 2pi (x+y+l) k / d} - d delta| over every x, y, l."""
+    worst = 0.0
+    for x in range(d):
+        for y in range(d):
+            for l in range(d):
+                total = sum(np.exp(2j * np.pi * (x + y + l) * k / d) for k in range(d))
+                expected = d if (x + y + l) % d == 0 else 0
+                worst = max(worst, float(abs(total - expected)))
+    return worst

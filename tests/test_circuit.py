@@ -103,7 +103,7 @@ def test_embed_single_wire():
 
 def test_embed_dense_gate_on_either_wire():
     # dense path must agree with the kron construction wire by wire
-    from quditswap.core import kron
+    from oracles import kron
     from quditswap.gates import qft
 
     d = 3

@@ -97,8 +97,12 @@ def test_matrix_unknown_gate(capsys):
 
 
 def test_matrix_bad_d(capsys):
-    code, _, _ = run(["matrix", "--gate", "QFT", "--d", "1"], capsys)
+    code, _, err = run(["matrix", "--gate", "QFT", "--d", "1"], capsys)
     assert code == 2
+    assert "d must be in 2..64, got 1" in err
+    code, _, err = run(["matrix", "--gate", "QFT", "--d", "70"], capsys)
+    assert code == 2
+    assert "d must be in 2..64, got 70" in err
 
 
 def test_simulate_swap_label(tmp_path, capsys):
@@ -186,3 +190,23 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_simulate_over_budget_register_is_usage_error(tmp_path, capsys):
+    # 100^3 amplitudes exceed the register budget; rejected before allocation
+    f = tmp_path / "big.qc"
+    f.write_text("dim 100\nwires 3\nX 1\n")
+    code, out, err = run(["simulate", "--circuit", str(f), "--input", "0,0,0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_rejects_bad_tolerance(tol, capsys):
+    code, out, err = run(
+        ["verify", "--d-min", "2", "--d-max", "2", "--tolerance", tol], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--tolerance" in err
