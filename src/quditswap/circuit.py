@@ -8,12 +8,14 @@ where a gate written with control i and target j acts control-on-wire-i.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     MAX_STATE_SIZE,
+    MAX_UNITARY_DIM,
     DimensionError,
     GateMatrix,
     StateVector,
@@ -96,11 +98,9 @@ class Circuit:
                 raise ValueError(f"wire out of range in {op.wires} for n={self.n}")
 
 
-def _check_budget(d: int, n: int) -> None:
-    if d**n > MAX_STATE_SIZE:
-        raise DimensionError(
-            f"register size d^n = {d ** n} exceeds budget {MAX_STATE_SIZE}"
-        )
+def _check_budget(d: int, n: int, budget: int = MAX_STATE_SIZE) -> None:
+    if d**n > budget:
+        raise DimensionError(f"register size d^n = {d ** n} exceeds budget {budget}")
 
 
 def _apply_op(op: GateOp, t: np.ndarray) -> np.ndarray:
@@ -130,23 +130,63 @@ def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
     return t.reshape(c.d**c.n, -1)
 
 
+def _changed_wires(op: GateOp, g: GateMatrix) -> set[int]:
+    """Wires of ``op`` whose digit ``g`` may change, read from the built gate.
+
+    Phases change no digit; a table changes a digit some label maps out of;
+    a dense gate changes a digit with a nonzero entry between labels that
+    differ in it.
+    """
+    if g.phases is not None:
+        return set()
+    digits = np.unravel_index(np.arange(g.dim), (op.d,) * len(op.wires))
+    if g.perm is not None:
+        return {w for w, x in zip(op.wires, digits) if np.any(x[g.perm] != x)}
+    return {w for w, x in zip(op.wires, digits)
+            if np.any(g.matrix[x[:, None] != x] != 0)}
+
+
+def _tied(a: np.ndarray, n: int, col_wires: list[int], tied: set[int]) -> np.ndarray:
+    """Writable view of ``a`` in which each tied wire's column digit is its row digit.
+
+    ``a`` has n row axes, one per wire, then one column axis per entry of
+    ``col_wires``; the view keeps the row axes and the untied column axes.
+    """
+    rows = string.ascii_letters[:n]
+    cols = [rows[w] if w in tied else string.ascii_letters[n + j]
+            for j, w in enumerate(col_wires)]
+    untied = "".join(x for x in cols if x not in rows)
+    return np.einsum(f"{rows}{''.join(cols)}->{rows}{untied}", a)
+
+
 def circuit_unitary(c: Circuit) -> GateMatrix:
     """Ordered product of embedded ops; first op is the rightmost factor.
 
-    A circuit of permutation gates gives an exact table and one of phase
-    gates a phase vector, neither through a d^n x d^n array; any other
-    circuit is applied to the identity's columns.
+    A circuit of permutation gates gives an exact table, without a
+    d^n x d^n array.  Otherwise the unitary is block diagonal in every kept
+    wire, one whose digit no op changes: the ops are run once on the
+    identity over the free wires, the kept digits of each column being
+    those of its row, and the blocks are scattered into the result.  With
+    no free wire the result is diagonal and comes back as phases.
     """
-    _check_budget(c.d, c.n)
-    size = c.d**c.n
-    gates = [gate_matrix(op.kind, c.d) for op in c.ops]
+    _check_budget(c.d, c.n, MAX_UNITARY_DIM)
+    d, n = c.d, c.n
+    gates = [gate_matrix(op.kind, d) for op in c.ops]
     if all(g.perm is not None for g in gates):
         # entry i of the result is the label that lands on i: the inverse table
-        return GateMatrix(perm=_run(c, np.arange(size))[:, 0]).dagger()
-    if all(g.phases is not None for g in gates):
-        # matmul then scales a dense factor's rows by it, as the kernel does
-        return GateMatrix(phases=_run(c, np.ones(size, dtype=np.complex128))[:, 0])
-    return GateMatrix(_run(c, np.eye(size, dtype=np.complex128)))
+        return GateMatrix(perm=_run(c, np.arange(d**n))[:, 0]).dagger()
+    changed = set().union(*(_changed_wires(op, g) for op, g in zip(c.ops, gates)))
+    free = [w for w in range(n) if w + 1 in changed]
+    kept = set(range(n)) - set(free)
+    blocks = np.zeros((d,) * (n + len(free)), dtype=np.complex128)
+    _tied(blocks, n, free, set(free))[...] = 1.0  # identity on the free wires
+    blocks = _run(c, blocks)
+    if not free:
+        return GateMatrix(phases=blocks[:, 0])
+    out = np.zeros((d,) * (2 * n), dtype=np.complex128)
+    view = _tied(out, n, list(range(n)), kept)
+    view[...] = blocks.reshape(view.shape)
+    return GateMatrix(out.reshape(d**n, d**n))
 
 
 def simulate(c: Circuit, s: StateVector) -> StateVector:

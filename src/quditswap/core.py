@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_STATE_SIZE = 4096
+# d^n limits: a unitary holds d^n x d^n entries, a state d^n amplitudes, so
+# the largest state allowed is as large as the largest unitary.
+MAX_UNITARY_DIM = 4096
+MAX_STATE_SIZE = MAX_UNITARY_DIM**2
 
 
 class DimensionError(ValueError):
@@ -191,12 +194,20 @@ def max_entry_dist(a: GateMatrix, b: GateMatrix) -> float:
     """Max absolute entrywise deviation; exact equality metric, no phase slack.
 
     Two tables are compared exactly: 0.0 when equal, else 1.0, the deviation
-    of their 0/1 matrices.
+    of their 0/1 matrices.  A table against any other form reads the other's
+    entries in place: |entry| off the table's support, |entry - 1| on it.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.perm is not None and b.perm is not None:
         return 0.0 if np.array_equal(a.perm, b.perm) else 1.0
+    if a.perm is not None or b.perm is not None:
+        table, other = (a, b) if a.perm is not None else (b, a)
+        dense = other.entries
+        support = (table.perm, np.arange(table.dim))
+        dist = np.abs(dense)
+        dist[support] = np.abs(dense[support] - 1)
+        return float(dist.max())
     return float(np.max(np.abs(a.entries - b.entries)))
 
 

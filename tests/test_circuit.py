@@ -118,6 +118,15 @@ def test_embed_budget():
         embed(GateOp(GateKind.QFT, (1,), 2), 13)
 
 
+def test_simulate_register_wider_than_unitary_budget():
+    d, n = 2, 13
+    c = Circuit(d, n, (GateOp(GateKind.Xd, (1,), d), GateOp(GateKind.CXd, (1, 2), d)))
+    with pytest.raises(DimensionError):
+        circuit_unitary(c)
+    out = simulate(c, basis_state((1,) + (0,) * (n - 1), d))
+    assert np.array_equal(out.amps, basis_state((1, 1) + (0,) * (n - 2), d).amps)
+
+
 def test_circuit_unitary_empty_and_single():
     assert max_entry_dist(circuit_unitary(Circuit(3, 2)), identity_matrix(9)) == 0
     op = GateOp(GateKind.CXd, (1, 2), 3)

@@ -193,13 +193,24 @@ def test_usage_error_exit_code():
 
 
 def test_simulate_over_budget_register_is_usage_error(tmp_path, capsys):
-    # 100^3 amplitudes exceed the register budget; rejected before allocation
+    # 100^4 amplitudes exceed the state budget; rejected before allocation
     f = tmp_path / "big.qc"
-    f.write_text("dim 100\nwires 3\nX 1\n")
-    code, out, err = run(["simulate", "--circuit", str(f), "--input", "0,0,0"], capsys)
+    f.write_text("dim 100\nwires 4\nX 1\n")
+    code, out, err = run(["simulate", "--circuit", str(f), "--input", "0,0,0,0"], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "budget" in err
+
+
+def test_simulate_register_wider_than_unitary_budget(tmp_path, capsys):
+    # 2^13 amplitudes are within the state budget, though no 2^13 x 2^13
+    # unitary is allowed
+    f = tmp_path / "wide.qc"
+    f.write_text("dim 2\nwires 13\nX 1\nCX 1 2\n")
+    label = "1," + ",".join(["0"] * 12)
+    code, out, err = run(["simulate", "--circuit", str(f), "--input", label], capsys)
+    assert code == 0, err
+    assert out.strip() == "1,1," + ",".join(["0"] * 11)
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

@@ -1,11 +1,21 @@
 """The fast gate forms and the wire-axis kernel against the slow oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from quditswap.circuit import Circuit, GateOp, circuit_unitary, gate_matrix, simulate
+from quditswap.circuit import (
+    Circuit,
+    GateOp,
+    circuit_unitary,
+    cx_tilde_decomposition,
+    cx_tilde_decomposition_alt,
+    gate_matrix,
+    simulate,
+)
 from quditswap.core import GateMatrix, StateVector, apply, matmul, max_entry_dist
 from quditswap.gates import GateKind, cx_tilde, cz_d, swap_ref
 from quditswap.verify import (
@@ -54,6 +64,88 @@ def test_circuit_unitary_matches_oracle_product(c):
     if all(gate_matrix(op.kind, c.d).perm is not None for op in c.ops):
         assert u.perm is not None
         assert np.array_equal(u.entries, want)
+
+
+def _ops(d, *specs):
+    return tuple(GateOp(kind, wires, d) for kind, wires in specs)
+
+
+# circuits in which some wire's digit is never changed: the unitary is built
+# block by block over the other wires
+KEPT_WIRE_CIRCUITS = [
+    *(build(d) for build in (cx_tilde_decomposition, cx_tilde_decomposition_alt)
+      for d in range(2, 9)),
+    *(Circuit(d, 3, _ops(d, (GateKind.QFT, (2,)))) for d in (2, 3)),
+    Circuit(3, 3, _ops(3, (GateKind.QFT, (2,)), (GateKind.CXd, (1, 2)),
+                       (GateKind.CZd, (3, 2)), (GateKind.IQFT, (2,)))),
+]
+
+
+@pytest.mark.parametrize("c", KEPT_WIRE_CIRCUITS, ids=lambda c: f"d{c.d}n{c.n}-{len(c.ops)}ops")
+def test_circuit_unitary_with_kept_wires_matches_oracle(c):
+    u = circuit_unitary(c)
+    assert u.matrix is not None
+    assert np.max(np.abs(u.entries - oracles.unitary(c))) <= 1e-12
+
+
+def test_phase_circuit_unitary_is_phases():
+    c = Circuit(3, 3, _ops(3, (GateKind.CZd, (1, 3)), (GateKind.Identity, (2,)),
+                           (GateKind.CZdDag, (2, 1))))
+    u = circuit_unitary(c)
+    assert u.phases is not None
+    assert np.max(np.abs(u.entries - oracles.unitary(c))) <= 1e-12
+
+
+@st.composite
+def dense_and_table(draw):
+    """A table and a dense matrix that equals it or has one worst entry on or off it."""
+    dim = draw(st.integers(2, 12))
+    perm = draw(st.permutations(range(dim)))
+    dense = oracles.permutation_matrix(perm)
+    case = draw(st.sampled_from(["equal", "off", "on"]))
+    if case != "equal":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        dense += 1e-3 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        col = draw(st.integers(0, dim - 1))
+        others = [r for r in range(dim) if r != perm[col]]
+        row = perm[col] if case == "on" else draw(st.sampled_from(others))
+        dense[row, col] += 0.5 - 0.5j
+    return perm, dense, case
+
+
+@given(dense_and_table())
+def test_dense_against_table_matches_oracle(drawn):
+    perm, dense, case = drawn
+    diff = np.abs(dense - oracles.permutation_matrix(perm))
+    want = float(np.max(diff))
+    table, other = GateMatrix(perm=perm), GateMatrix(dense)
+    assert max_entry_dist(other, table) == want
+    assert max_entry_dist(table, other) == want
+    if case == "equal":
+        assert want == 0.0
+    else:
+        row, col = np.unravel_index(np.argmax(diff), diff.shape)
+        assert (row == perm[col]) == (case == "on")
+
+
+def _peak_bytes(fn):
+    """(result, tracemalloc peak) of one call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unitary_and_compare_allocate_little_beyond_the_output():
+    c, target = cx_tilde_decomposition(16), cx_tilde(16)
+    u, build_peak = _peak_bytes(lambda: circuit_unitary(c))
+    size = u.matrix.nbytes
+    assert build_peak <= 1.5 * size
+    for args in ((u, target), (target, u)):
+        _, compare_peak = _peak_bytes(lambda: max_entry_dist(*args))
+        assert compare_peak <= 0.75 * size
 
 
 @given(st.integers(2, 5))
