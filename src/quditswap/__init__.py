@@ -10,10 +10,8 @@ from .core import (
     GateMatrix,
     StateVector,
     DimensionError,
-    apply,
     basis_state,
     max_entry_dist,
-    mod_d,
 )
 from .gates import (
     GateKind,
@@ -35,7 +33,6 @@ from .circuit import (
     circuit_unitary,
     cx_tilde_decomposition,
     cx_tilde_decomposition_alt,
-    embed,
     expand_cx_tilde,
     partial_swap_circuit,
     simulate,
@@ -57,10 +54,8 @@ __all__ = [
     "GateMatrix",
     "StateVector",
     "DimensionError",
-    "apply",
     "basis_state",
     "max_entry_dist",
-    "mod_d",
     "GateKind",
     "qft",
     "iqft",
@@ -74,7 +69,6 @@ __all__ = [
     "identity_gate",
     "Circuit",
     "GateOp",
-    "embed",
     "circuit_unitary",
     "simulate",
     "swap_circuit",

@@ -1,7 +1,8 @@
-"""Circuits over an n-qudit register: embedding, composition, simulation.
+"""Circuits over an n-qudit register: composition and simulation.
 
 Op order is temporal order (leftmost figure gate first); the circuit unitary
-multiplies the embedded matrices with the first op as the rightmost factor.
+is the product of the ops with the first op as the rightmost factor.  The
+kernel here is the only code that applies a gate.
 Wires are 1-based with wire 1 on top, matching the subscript convention
 where a gate written with control i and target j acts control-on-wire-i.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .core import (
     DimensionError,
     GateMatrix,
     StateVector,
-    _act,
     _check_dim,
 )
 from .gates import (
@@ -97,14 +98,21 @@ class Circuit:
             if any(w > self.n for w in op.wires):
                 raise ValueError(f"wire out of range in {op.wires} for n={self.n}")
 
+    @cached_property
+    def gates(self) -> tuple[GateMatrix, ...]:
+        """The built gate of each op, in op order; built once per circuit."""
+        return tuple(gate_matrix(op.kind, self.d) for op in self.ops)
+
 
 def _check_budget(d: int, n: int, budget: int = MAX_STATE_SIZE) -> None:
-    if d**n > budget:
-        raise DimensionError(f"register size d^n = {d ** n} exceeds budget {budget}")
+    # d >= 2, so d^n > budget once n exceeds budget's bit length; the power
+    # is only taken for n small enough to keep it a small integer
+    if n > budget.bit_length() or d**n > budget:
+        raise DimensionError(f"register size d^n = {d}^{n} exceeds budget {budget}")
 
 
-def _apply_op(op: GateOp, t: np.ndarray) -> np.ndarray:
-    """Apply ``op`` to a ``(d,)*n + (cols,)`` array, touching only its wire axes.
+def _apply_op(op: GateOp, g: GateMatrix, t: np.ndarray) -> np.ndarray:
+    """Apply ``op``, built as ``g``, to a ``(d,)*n + (cols,)`` array on its wire axes.
 
     The wire axes are moved to the front and flattened into rows, so a table
     moves rows, phases scale them and a dense gate multiplies them; the
@@ -113,20 +121,22 @@ def _apply_op(op: GateOp, t: np.ndarray) -> np.ndarray:
     k = len(op.wires)
     axes = [w - 1 for w in op.wires]
     front = np.moveaxis(t, axes, range(k))
-    rows = _act(gate_matrix(op.kind, op.d), front.reshape(op.d**k, -1))
-    return np.moveaxis(rows.reshape(front.shape), range(k), axes)
-
-
-def embed(op: GateOp, n: int) -> GateMatrix:
-    """Lift a gate onto the named wires of an n-wire register."""
-    return circuit_unitary(Circuit(op.d, n, (op,)))
+    rows = front.reshape(op.d**k, -1)
+    if g.perm is not None:
+        out = np.empty_like(rows)
+        out[g.perm] = rows
+    elif g.phases is not None:
+        out = g.phases[:, None] * rows
+    else:
+        out = g.matrix @ rows
+    return np.moveaxis(out.reshape(front.shape), range(k), axes)
 
 
 def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
     """Apply every op of ``c`` to the d^n rows of ``t``; returns (d^n, cols)."""
     t = t.reshape((c.d,) * c.n + (-1,))
-    for op in c.ops:
-        t = _apply_op(op, t)
+    for op, g in zip(c.ops, c.gates):
+        t = _apply_op(op, g, t)
     return t.reshape(c.d**c.n, -1)
 
 
@@ -171,11 +181,10 @@ def circuit_unitary(c: Circuit) -> GateMatrix:
     """
     _check_budget(c.d, c.n, MAX_UNITARY_DIM)
     d, n = c.d, c.n
-    gates = [gate_matrix(op.kind, d) for op in c.ops]
-    if all(g.perm is not None for g in gates):
+    if all(g.perm is not None for g in c.gates):
         # entry i of the result is the label that lands on i: the inverse table
         return GateMatrix(perm=_run(c, np.arange(d**n))[:, 0]).dagger()
-    changed = set().union(*(_changed_wires(op, g) for op, g in zip(c.ops, gates)))
+    changed = set().union(*(_changed_wires(op, g) for op, g in zip(c.ops, c.gates)))
     free = [w for w in range(n) if w + 1 in changed]
     kept = set(range(n)) - set(free)
     blocks = np.zeros((d,) * (n + len(free)), dtype=np.complex128)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .circuit import Circuit, _check_budget, gate_matrix, simulate
-from .core import StateVector, basis_state, flat_to_digits
+from .core import StateVector, basis_state
 from .dsl import MNEMONICS, ParseError, parse, render
 from .verify import VerificationReport, check_d_range, verify_all
 
@@ -37,6 +37,8 @@ def cmd_verify(args) -> int:
         return _usage_error(f"--d-min {args.d_min} --d-max {args.d_max}: {exc}")
     if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
         return _usage_error(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    if args.seed < 0:
+        return _usage_error(f"--seed must be >= 0, got {args.seed}")
     reports = verify_all(args.d_min, args.d_max, seed=args.seed)
     if args.tolerance is not None:
         reports = [
@@ -122,6 +124,8 @@ def cmd_simulate(args) -> int:
     basis_input = None
     try:
         _check_budget(circ.d, circ.n)  # before the state allocates d^n amplitudes
+        # building the gates here makes a gate over its budget a usage error
+        permutation_only = all(g.perm is not None for g in circ.gates)
         if args.input is not None:
             digits = tuple(int(t) for t in args.input.split(","))
             if len(digits) != circ.n:
@@ -134,13 +138,11 @@ def cmd_simulate(args) -> int:
         return _usage_error(exc)
 
     out = simulate(circ, state)
-    permutation_only = all(gate_matrix(op.kind, circ.d).perm is not None
-                           for op in circ.ops)
     if basis_input is not None and permutation_only:
         idx = int(np.argmax(np.abs(out.amps)))
-        label = flat_to_digits(idx, circ.d, circ.n)
+        label = [int(x) for x in np.unravel_index(idx, (circ.d,) * circ.n)]
         if args.json:
-            print(json.dumps({"label": list(label)}))
+            print(json.dumps({"label": label}))
         else:
             print(",".join(map(str, label)))
         return 0

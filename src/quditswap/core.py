@@ -1,4 +1,4 @@
-"""Dimension-generic complex linear algebra and mixed-radix indexing.
+"""Gate and state values: index tables, phase vectors, dense matrices.
 
 Conventions used everywhere in the package:
 
@@ -33,35 +33,6 @@ def _check_dim(d: int) -> None:
         raise DimensionError(f"qudit dimension must be >= 2, got {d}")
 
 
-def mod_d(v: int, d: int) -> int:
-    """Reduce ``v`` into [0, d-1], nonnegative even for negative ``v``."""
-    _check_dim(d)
-    return v % d
-
-
-def digits_to_flat(digits: tuple[int, ...], d: int) -> int:
-    """Flatten a base-d label, most significant digit first."""
-    _check_dim(d)
-    flat = 0
-    for x in digits:
-        if not 0 <= x < d:
-            raise ValueError(f"digit {x} out of range for d={d}")
-        flat = flat * d + x
-    return flat
-
-
-def flat_to_digits(flat: int, d: int, n: int) -> tuple[int, ...]:
-    """Inverse of :func:`digits_to_flat` for an n-digit label."""
-    _check_dim(d)
-    if not 0 <= flat < d**n:
-        raise ValueError(f"flat index {flat} out of range for d={d}, n={n}")
-    out = []
-    for _ in range(n):
-        out.append(flat % d)
-        flat //= d
-    return tuple(reversed(out))
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Amplitudes of an n-qudit register over the computational basis."""
@@ -94,9 +65,6 @@ class GateMatrix:
       is the target basis index of source index ``j``.
     * ``phases``: the complex diagonal of a diagonal gate.
     * ``matrix``: a dense square matrix, for gates that are neither.
-
-    A dense matrix given together with a table must be the table's 0/1
-    matrix; only the table is kept.
     """
 
     matrix: np.ndarray | None = None
@@ -117,10 +85,6 @@ class GateMatrix:
             m = np.asarray(m, dtype=np.complex128)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise DimensionError(f"gate matrix must be square, got {m.shape}")
-            if perm is not None:
-                if not np.array_equal(m, GateMatrix(perm=perm).entries):
-                    raise ValueError("dense matrix does not match the perm table")
-                m = None
         held = [a for a in (m, perm, phases) if a is not None]
         if len(held) != 1:
             raise ValueError("a gate needs exactly one of matrix, perm, phases")
@@ -160,34 +124,14 @@ def identity_matrix(dim: int) -> GateMatrix:
 
 def basis_state(digits: tuple[int, ...], d: int) -> StateVector:
     """Computational basis state |x1 x2 ... xn> of n qudits of dimension d."""
+    _check_dim(d)
+    for x in digits:
+        if not 0 <= x < d:
+            raise ValueError(f"digit {x} out of range for d={d}")
     n = len(digits)
-    flat = digits_to_flat(digits, d)
     amps = np.zeros(d**n, dtype=np.complex128)
-    amps[flat] = 1.0
+    amps[np.ravel_multi_index(digits, (d,) * n)] = 1.0
     return StateVector(d, n, amps)
-
-
-def _act(g: GateMatrix, t: np.ndarray) -> np.ndarray:
-    """Apply ``g`` along axis 0 of an array with ``g.dim`` rows.
-
-    A table moves rows, phases scale them, a dense matrix multiplies them.
-    """
-    if g.perm is not None:
-        out = np.empty_like(t)
-        out[g.perm] = t
-        return out
-    if g.phases is not None:
-        return g.phases.reshape((-1,) + (1,) * (t.ndim - 1)) * t
-    return g.matrix @ t
-
-
-def apply(m: GateMatrix, s: StateVector) -> StateVector:
-    """Apply a gate to a state; exact index shuffle when a perm is present."""
-    if m.dim != s.amps.shape[0]:
-        raise DimensionError(
-            f"gate dimension {m.dim} does not match state size {s.amps.shape[0]}"
-        )
-    return StateVector(s.d, s.n, _act(m, s.amps))
 
 
 def max_entry_dist(a: GateMatrix, b: GateMatrix) -> float:
@@ -209,12 +153,3 @@ def max_entry_dist(a: GateMatrix, b: GateMatrix) -> float:
         dist[support] = np.abs(dense[support] - 1)
         return float(dist.max())
     return float(np.max(np.abs(a.entries - b.entries)))
-
-
-def matmul(a: GateMatrix, b: GateMatrix) -> GateMatrix:
-    """Product a @ b; two tables compose as a table."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.perm is not None and b.perm is not None:
-        return GateMatrix(perm=a.perm[b.perm])
-    return GateMatrix(_act(a, b.entries))

@@ -13,7 +13,7 @@ import enum
 
 import numpy as np
 
-from .core import GateMatrix, _check_dim, identity_matrix
+from .core import MAX_UNITARY_DIM, DimensionError, GateMatrix, _check_dim, identity_matrix
 
 
 class GateKind(enum.Enum):
@@ -45,6 +45,8 @@ def _digits(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def qft(d: int) -> GateMatrix:
     """Quantum Fourier transform: entry (k, x) = e^{i 2pi x k / d} / sqrt(d)."""
+    if d > MAX_UNITARY_DIM:  # a dense d x d unitary, checked before allocating it
+        raise DimensionError(f"a QFT needs d <= {MAX_UNITARY_DIM}, got {d}")
     k, x = _digits(d)
     # reduce the product mod d before the trig call to bound the argument
     phase = 2.0 * np.pi * ((k * x) % d) / d

@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    _check_dim,
-    identity_matrix,
-    matmul,
-    max_entry_dist,
-)
+from .core import _check_dim, identity_matrix, max_entry_dist
 from .circuit import (
+    Circuit,
+    GateOp,
     _run,
     asymmetric_swap_circuit,
     circuit_unitary,
@@ -30,7 +27,7 @@ from .circuit import (
     swap_circuit,
     swap_circuit_alt,
 )
-from .gates import cx_tilde, swap_ref
+from .gates import GateKind, cx_tilde, swap_ref
 
 DENSE_TOL = 1e-10
 PERM_TOL = 0.0
@@ -75,8 +72,8 @@ def verify_decomposition(d: int) -> VerificationReport:
 def verify_self_inverse(d: int) -> VerificationReport:
     """The negated-sum gate squared is the identity, exactly."""
     _check_dim(d)
-    g = cx_tilde(d)
-    dev = max_entry_dist(matmul(g, g), identity_matrix(d * d))
+    squared = Circuit(d, 2, (GateOp(GateKind.CXTilde, (1, 2), d),) * 2)
+    dev = max_entry_dist(circuit_unitary(squared), identity_matrix(d * d))
     return VerificationReport("self_inverse", d, dev, PERM_TOL)
 
 
@@ -117,12 +114,14 @@ def verify_partial_swap(d: int, seed: int = 42, trials: int = 100) -> Verificati
     expected = np.zeros_like(amps)
     expected[:d] = phis
     out = _run(partial_swap_circuit(d), amps)
-    worst = float(np.max(np.abs(out - expected), initial=0.0))
+    worst = float(np.max(np.abs(out - expected)))
     return VerificationReport("partial_swap", d, worst, DENSE_TOL)
 
 
 def _random_states(rng: np.random.Generator, size: int, trials: int) -> np.ndarray:
     """``trials`` normalised random states as the columns of a (size, trials) array."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     cols = np.empty((size, trials), dtype=np.complex128)
     for j in range(trials):
         v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -136,8 +135,6 @@ def random_state_check(d: int, seed: int = 42, trials: int = 100) -> Verificatio
     The trials are the columns of one array, run through the circuit at once.
     """
     _check_dim(d)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     states = _random_states(rng, d * d, trials)
     transposed = states.reshape(d, d, trials).swapaxes(0, 1).reshape(d * d, trials)

@@ -7,7 +7,7 @@ tables, phase vectors and wire-axis kernel of the package.  Sizes stay small.
 
 import numpy as np
 
-from quditswap.core import GateMatrix, flat_to_digits
+from quditswap.core import GateMatrix, StateVector
 from quditswap.gates import GateKind
 
 # basis map of each permutation gate, (control, target) -> (control, target)
@@ -57,6 +57,27 @@ def gate_entries(kind: GateKind, d: int) -> np.ndarray:
         ) / np.sqrt(d)
     sign = 1 if kind is GateKind.CZd else -1
     return np.diag([np.exp(sign * 2j * np.pi * x * y / d) for x in range(d) for y in range(d)])
+
+
+def flat_to_digits(flat: int, d: int, n: int) -> tuple[int, ...]:
+    """Base-d digits of an n-digit flat label, most significant first."""
+    out = []
+    for _ in range(n):
+        out.append(flat % d)
+        flat //= d
+    return tuple(reversed(out))
+
+
+def apply(g: GateMatrix, s: StateVector) -> StateVector:
+    """Dense product of a gate's entries with a state's amplitudes."""
+    return StateVector(s.d, s.n, g.entries @ s.amps)
+
+
+def matmul(a: GateMatrix, b: GateMatrix) -> GateMatrix:
+    """Product a @ b: two tables compose entry by entry, anything else densely."""
+    if a.perm is not None and b.perm is not None:
+        return GateMatrix(perm=[a.perm[j] for j in b.perm])
+    return GateMatrix(a.entries @ b.entries)
 
 
 def embedded_perm(op, n: int, gate_perm) -> list[int]:

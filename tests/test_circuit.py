@@ -8,7 +8,6 @@ from quditswap.circuit import (
     circuit_unitary,
     cx_tilde_decomposition,
     cx_tilde_decomposition_alt,
-    embed,
     expand_cx_tilde,
     partial_swap_circuit,
     simulate,
@@ -17,14 +16,15 @@ from quditswap.circuit import (
 )
 from quditswap.core import (
     DimensionError,
+    GateMatrix,
     StateVector,
-    apply,
     basis_state,
     identity_matrix,
-    matmul,
     max_entry_dist,
 )
 from quditswap.gates import GateKind, cx_tilde, swap_ref
+
+from oracles import apply, kron, matmul
 
 # independent oracle: simulate the circuits on basis labels with plain
 # modular arithmetic, no gate matrices involved
@@ -84,6 +84,11 @@ def test_circuit_validation():
         Circuit(4, 2, (GateOp(GateKind.QFT, (1,), 3),))
 
 
+def embed(op, n):
+    """A gate lifted onto its wires of an n-wire register: a one-op circuit."""
+    return circuit_unitary(Circuit(op.d, n, (op,)))
+
+
 def test_embed_canonical_placement():
     m = embed(GateOp(GateKind.CXTilde, (1, 2), 2), 2)
     assert max_entry_dist(m, cx_tilde(2)) == 0
@@ -103,7 +108,6 @@ def test_embed_single_wire():
 
 def test_embed_dense_gate_on_either_wire():
     # dense path must agree with the kron construction wire by wire
-    from oracles import kron
     from quditswap.gates import qft
 
     d = 3
@@ -140,10 +144,11 @@ def test_circuit_unitary_order():
         GateOp(GateKind.QFT, (2,), 3),
         GateOp(GateKind.CZd, (1, 2), 3),
     ))
-    want = matmul(
-        embed(GateOp(GateKind.CZd, (1, 2), 3), 2),
-        embed(GateOp(GateKind.QFT, (2,), 3), 2),
-    )
+    cz = embed(GateOp(GateKind.CZd, (1, 2), 3), 2)
+    qft_embedded = embed(GateOp(GateKind.QFT, (2,), 3), 2)
+    # the phases scale the rows of the QFT, as the kernel does, so the
+    # product is formed without a BLAS rounding and must agree exactly
+    want = GateMatrix(cz.phases[:, None] * qft_embedded.entries)
     assert max_entry_dist(circuit_unitary(c), want) == 0
 
 
@@ -304,3 +309,38 @@ def test_builder_unitaries_are_unitary(d):
 def test_simulate_dimension_mismatch():
     with pytest.raises(DimensionError):
         simulate(swap_circuit(3), basis_state((0, 0), 2))
+
+@pytest.fixture
+def build_count(monkeypatch):
+    """Count the gate builds the circuit module makes."""
+    import quditswap.circuit as circuit_mod
+
+    calls = []
+    build = circuit_mod.gate_matrix
+
+    def counted(kind, d):
+        calls.append(kind)
+        return build(kind, d)
+
+    monkeypatch.setattr(circuit_mod, "gate_matrix", counted)
+    return calls
+
+
+def test_circuit_unitary_builds_each_gate_once(build_count):
+    circuit_unitary(cx_tilde_decomposition(5))
+    assert len(build_count) == 3
+
+
+def test_simulate_builds_each_gate_once(build_count):
+    c = expand_cx_tilde(swap_circuit(3))
+    simulate(c, basis_state((1, 2), 3))
+    assert len(build_count) == len(c.ops) == 9
+
+
+def test_cli_simulate_builds_each_gate_once(build_count, tmp_path, capsys):
+    from quditswap.cli import main
+
+    f = tmp_path / "decomp.qc"
+    f.write_text("dim 4\nwires 2\nQFT 2\nCZ 1 2\nQFT 2\nCXT 2 1\n")
+    assert main(["simulate", "--circuit", str(f), "--input", "1,1"]) == 0
+    assert len(build_count) == 4

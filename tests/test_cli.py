@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -221,3 +222,50 @@ def test_verify_rejects_bad_tolerance(tol, capsys):
     assert code == 2
     assert out == ""
     assert "--tolerance" in err
+
+
+def test_simulate_huge_register_names_d_n_without_printing_it(tmp_path, capsys):
+    # 3^20000 has 9543 digits, more than int-to-str conversion allows
+    f = tmp_path / "huge.qc"
+    f.write_text("dim 3\nwires 20000\nX 1\n")
+    code, out, err = run(["simulate", "--circuit", str(f), "--input", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "d^n = 3^20000 exceeds budget" in err
+    assert len(err) < 200
+
+
+def test_simulate_huge_register_rejected_within_a_second(tmp_path, capsys):
+    f = tmp_path / "huger.qc"
+    f.write_text("dim 3\nwires 30000000\nX 1\n")
+    start = time.perf_counter()
+    code, _, err = run(["simulate", "--circuit", str(f), "--input", "0"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "exceeds budget" in err
+
+
+def test_simulate_oversized_qft_is_usage_error(tmp_path, capsys):
+    # 5e6 amplitudes fit the state budget; the 5e6 x 5e6 QFT does not
+    f = tmp_path / "qft.qc"
+    f.write_text("dim 5000000\nwires 1\nQFT 1\n")
+    code, out, err = run(["simulate", "--circuit", str(f), "--input", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "QFT needs d <= 4096" in err
+
+
+def test_verify_rejects_negative_seed(capsys):
+    code, out, err = run(["verify", "--d-min", "2", "--d-max", "2", "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("label,digit", [("5,0", 5), ("-1,0", -1)], ids=["5,0", "-1,0"])
+def test_simulate_rejects_out_of_range_digit(label, digit, tmp_path, capsys):
+    f = tmp_path / "swap.qc"
+    f.write_text(SWAP_QC)
+    code, out, err = run(["simulate", "--circuit", str(f), f"--input={label}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"digit {digit} out of range for d=3" in err

@@ -1,40 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
+from quditswap.circuit import Circuit, GateOp, simulate
 from quditswap.core import (
     DimensionError,
     GateMatrix,
     StateVector,
-    apply,
     basis_state,
-    digits_to_flat,
-    flat_to_digits,
     identity_matrix,
     max_entry_dist,
-    mod_d,
 )
-from quditswap.gates import qft, swap_ref, x_d
+from quditswap.gates import GateKind, qft, swap_ref, x_d
 
-from oracles import kron
-
-
-def test_mod_d_examples():
-    assert mod_d(-2, 3) == 1
-    assert mod_d(5, 5) == 0
-    assert mod_d(0, 7) == 0
-
-
-def test_mod_d_rejects_bad_dimension():
-    with pytest.raises(DimensionError):
-        mod_d(3, 1)
-
-
-@given(st.integers(2, 17), st.data())
-def test_mod_d_additive(d, data):
-    a = data.draw(st.integers(-3 * d, 3 * d))
-    b = data.draw(st.integers(-3 * d, 3 * d))
-    assert mod_d(a + b, d) == mod_d(mod_d(a, d) + mod_d(b, d), d)
+from oracles import apply, flat_to_digits, kron
 
 
 def test_basis_state_examples():
@@ -45,14 +23,16 @@ def test_basis_state_examples():
 
 
 def test_basis_state_rejects_out_of_range_digit():
-    with pytest.raises(ValueError):
-        basis_state((0, 3), 3)
+    for digits in ((0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range for d=3"):
+            basis_state(digits, 3)
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (5, 2), (10, 4), (21, 2)])
 def test_label_round_trip(d, n):
+    # the label of flat index j, from the oracle's digit loop, is basis state j
     for flat in range(d**n):
-        assert digits_to_flat(flat_to_digits(flat, d, n), d) == flat
+        assert np.flatnonzero(basis_state(flat_to_digits(flat, d, n), d).amps) == flat
 
 
 def test_kron_identity():
@@ -62,7 +42,7 @@ def test_kron_identity():
 
 def test_kron_wire_ordering():
     # pauli-X on the more significant digit swaps the two 2x2 blocks
-    x = GateMatrix(np.array([[0, 1], [1, 0]], dtype=complex), (1, 0))
+    x = GateMatrix(perm=(1, 0))
     m = kron(x, identity_matrix(2))
     assert tuple(m.perm) == (2, 3, 0, 1)
     expected = np.zeros((4, 4))
@@ -79,29 +59,26 @@ def test_kron_qft_uniform():
 
 def test_apply_identity():
     s = basis_state((1, 0), 2)
-    assert np.array_equal(apply(identity_matrix(4), s).amps, s.amps)
+    ident = GateKind.Identity
+    c = Circuit(2, 2, (GateOp(ident, (1,), 2), GateOp(ident, (2,), 2)))
+    assert np.array_equal(simulate(c, s).amps, s.amps)
 
 
 def test_apply_perm_matches_dense():
+    # the kernel moves amplitudes by the table; the oracle multiplies by the 0/1 matrix
     rng = np.random.default_rng(7)
     for d in (2, 3, 5):
-        g = swap_ref(d)
-        dense = GateMatrix(g.entries.copy())
+        c = Circuit(d, 2, (GateOp(GateKind.SWAP, (1, 2), d),))
         amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
         amps /= np.linalg.norm(amps)
         s = StateVector(d, 2, amps)
-        diff = np.abs(apply(g, s).amps - apply(dense, s).amps)
+        diff = np.abs(simulate(c, s).amps - apply(swap_ref(d), s).amps)
         assert float(diff.max()) <= 1e-12
 
 
 def test_apply_swap_on_basis():
     out = apply(swap_ref(3), basis_state((1, 2), 3))
     assert np.array_equal(out.amps, basis_state((2, 1), 3).amps)
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        apply(identity_matrix(4), basis_state((0,), 3))
 
 
 def test_max_entry_dist_examples():
@@ -115,8 +92,15 @@ def test_max_entry_dist_examples():
 
 
 def test_perm_table_rejected_when_not_bijection():
-    with pytest.raises(ValueError):
-        GateMatrix(np.eye(2), (0, 0))
+    with pytest.raises(ValueError, match="bijection"):
+        GateMatrix(perm=(0, 0))
+
+
+def test_gate_holds_exactly_one_form():
+    with pytest.raises(ValueError, match="exactly one"):
+        GateMatrix(np.eye(2), (0, 1))
+    with pytest.raises(ValueError, match="exactly one"):
+        GateMatrix()
 
 
 def test_x_d_dagger_inverts_perm():

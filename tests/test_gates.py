@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quditswap.core import identity_matrix, matmul, max_entry_dist
+from quditswap.core import identity_matrix, max_entry_dist
 from quditswap.gates import (
     GateKind,
     cx_d,
@@ -14,6 +14,8 @@ from quditswap.gates import (
     swap_ref,
     x_d,
 )
+
+from oracles import matmul
 
 ALL_BUILDERS = [qft, iqft, cz_d, cz_d_dag, cx_tilde, cx_d, cx_d_dag, x_d, swap_ref]
 
@@ -174,3 +176,13 @@ def test_invalid_dimension_rejected():
     for builder in ALL_BUILDERS:
         with pytest.raises(DimensionError):
             builder(1)
+
+
+def test_oversized_qft_rejected_before_allocation():
+    from quditswap.core import MAX_UNITARY_DIM, DimensionError
+
+    # a 5e6 x 5e6 dense matrix would need 182 TiB
+    for builder in (qft, iqft):
+        for d in (MAX_UNITARY_DIM + 1, 5_000_000):
+            with pytest.raises(DimensionError, match="QFT needs d <= 4096"):
+                builder(d)

@@ -16,7 +16,7 @@ from quditswap.circuit import (
     gate_matrix,
     simulate,
 )
-from quditswap.core import GateMatrix, StateVector, apply, matmul, max_entry_dist
+from quditswap.core import GateMatrix, StateVector, max_entry_dist
 from quditswap.gates import GateKind, cx_tilde, cz_d, swap_ref
 from quditswap.verify import (
     verify_asymmetric_swap,
@@ -161,7 +161,6 @@ def test_gate_forms_match_oracle(d):
         else:
             assert np.max(np.abs(g.entries - oracles.gate_entries(kind, d))) <= 1e-12
         assert np.array_equal(g.dagger().entries, g.entries.conj().T)
-        assert np.max(np.abs(matmul(g, g).entries - g.entries @ g.entries)) <= 1e-12
 
 
 @given(st.integers(2, 30).flatmap(lambda n: st.tuples(
@@ -170,12 +169,8 @@ def test_table_algebra_matches_dense(perms):
     a, b = (GateMatrix(perm=p) for p in perms)
     dense_a, dense_b = (oracles.permutation_matrix(p) for p in perms)
     assert np.array_equal(a.entries, dense_a)
-    assert np.array_equal(matmul(a, b).entries, dense_a @ dense_b)
     assert np.array_equal(a.dagger().entries, dense_a.conj().T)
     assert max_entry_dist(a, b) == float(np.max(np.abs(dense_a - dense_b)))
-    amps = _random_amps(len(perms[0]), len(perms[0]))
-    state = StateVector(len(amps), 1, amps)
-    assert np.array_equal(apply(a, state).amps, dense_a @ amps)
 
 
 @pytest.mark.parametrize("d", range(2, 17))

@@ -84,6 +84,13 @@ def test_random_state_check():
         random_state_check(3, trials=0)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_partial_swap_rejects_no_trials(trials):
+    # a check over no trials would compare nothing and pass
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        verify_partial_swap(3, trials=trials)
+
+
 def test_maximally_entangled_state_invariant():
     for d in (2, 3, 5):
         amps = np.zeros(d * d, dtype=complex)
