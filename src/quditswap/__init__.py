@@ -38,6 +38,7 @@ from .circuit import (
     simulate,
     swap_circuit,
     swap_circuit_alt,
+    table_dist,
 )
 from .verify import (
     VerificationReport,
@@ -71,6 +72,7 @@ __all__ = [
     "GateOp",
     "circuit_unitary",
     "simulate",
+    "table_dist",
     "swap_circuit",
     "swap_circuit_alt",
     "cx_tilde_decomposition",

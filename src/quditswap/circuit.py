@@ -22,6 +22,7 @@ from .core import (
     GateMatrix,
     StateVector,
     _check_dim,
+    max_entry_dist,
 )
 from .gates import (
     GateKind,
@@ -169,33 +170,63 @@ def _tied(a: np.ndarray, n: int, col_wires: list[int], tied: set[int]) -> np.nda
     return np.einsum(f"{rows}{''.join(cols)}->{rows}{untied}", a)
 
 
+def _blocks(c: Circuit) -> tuple[np.ndarray, list[int], list[int]]:
+    """The ops run on the identity over the free wires, and the kept and free wires.
+
+    No op changes a kept wire's digit.  Blocks ``(d,)*n + (d,)*f`` hold every
+    entry off 0: a row label, then the free digits of a column in its block.
+    """
+    d, n = c.d, c.n
+    changed = set().union(*(_changed_wires(op, g) for op, g in zip(c.ops, c.gates)))
+    free = [w for w in range(n) if w + 1 in changed]
+    kept = [w for w in range(n) if w + 1 not in changed]
+    _check_budget(d, n + len(free))
+    blocks = np.zeros((d,) * (n + len(free)), dtype=np.complex128)
+    _tied(blocks, n, free, set(free))[...] = 1.0  # identity on the free wires
+    return _run(c, blocks).reshape(blocks.shape), kept, free
+
+
 def circuit_unitary(c: Circuit) -> GateMatrix:
     """Ordered product of embedded ops; first op is the rightmost factor.
 
     A circuit of permutation gates gives an exact table, without a
-    d^n x d^n array.  Otherwise the unitary is block diagonal in every kept
-    wire, one whose digit no op changes: the ops are run once on the
-    identity over the free wires, the kept digits of each column being
-    those of its row, and the blocks are scattered into the result.  With
-    no free wire the result is diagonal and comes back as phases.
+    d^n x d^n array, and one that changes no digit a phase vector.
+    Otherwise the unitary is block diagonal in every kept wire, and the
+    blocks are scattered into the result.
     """
     _check_budget(c.d, c.n, MAX_UNITARY_DIM)
     d, n = c.d, c.n
     if all(g.perm is not None for g in c.gates):
-        # entry i of the result is the label that lands on i: the inverse table
+        # entry i of the run is the label that lands on i: the inverse table
         return GateMatrix(perm=_run(c, np.arange(d**n))[:, 0]).dagger()
-    changed = set().union(*(_changed_wires(op, g) for op, g in zip(c.ops, c.gates)))
-    free = [w for w in range(n) if w + 1 in changed]
-    kept = set(range(n)) - set(free)
-    blocks = np.zeros((d,) * (n + len(free)), dtype=np.complex128)
-    _tied(blocks, n, free, set(free))[...] = 1.0  # identity on the free wires
-    blocks = _run(c, blocks)
+    blocks, kept, free = _blocks(c)
     if not free:
-        return GateMatrix(phases=blocks[:, 0])
+        return GateMatrix(phases=blocks.reshape(-1))
     out = np.zeros((d,) * (2 * n), dtype=np.complex128)
-    view = _tied(out, n, list(range(n)), kept)
-    view[...] = blocks.reshape(view.shape)
+    _tied(out, n, list(range(n)), set(kept))[...] = blocks
     return GateMatrix(out.reshape(d**n, d**n))
+
+
+def table_dist(c: Circuit, table: GateMatrix) -> float:
+    """``max_entry_dist(circuit_unitary(c), table)``, without a d^n x d^n array.
+
+    Blocks are read as |b| off the table's support and |b - 1| on it; a
+    target label outside its column's block adds 1.0, as the unitary holds 0.
+    """
+    d, n = c.d, c.n
+    if table.perm is None or table.dim != d**n:
+        raise DimensionError(f"expected a permutation table on {d**n} labels")
+    if all(g.perm is not None for g in c.gates):
+        return max_entry_dist(circuit_unitary(c), table)  # two tables, exactly
+    blocks, kept, free = _blocks(c)
+    digits = np.array(np.unravel_index(np.arange(d**n), (d,) * n))
+    src = digits[:, np.argsort(table.perm)]  # digits of the column landing on each row
+    rows = np.flatnonzero((src[kept] == digits[kept]).all(axis=0))
+    cols = (d ** np.arange(len(free))[::-1] @ src[free])[rows]  # its place in the block
+    flat = blocks.reshape(d**n, -1)
+    dist = np.abs(flat)
+    dist[rows, cols] = np.abs(flat[rows, cols] - 1)
+    return max(float(dist.max()), 0.0 if rows.size == d**n else 1.0)
 
 
 def simulate(c: Circuit, s: StateVector) -> StateVector:

@@ -21,10 +21,6 @@ from .verify import VerificationReport, check_d_range, verify_all
 AMP_EPSILON = 1e-12
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _usage_error(message) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -85,12 +81,16 @@ def cmd_matrix(args) -> int:
         print(json.dumps(rows))
     else:
         for row in m:
-            print(";".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in row))
+            print(";".join(f"{v.real:.17g},{v.imag:.17g}" for v in row))
     return 0
 
 
+def _floats(tokens: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+
+
 def _load_state(path: str, d: int, n: int) -> StateVector:
-    amps = []
+    tokens: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -98,9 +98,11 @@ def _load_state(path: str, d: int, n: int) -> StateVector:
                 continue
             parts = line.replace(",", " ").split()
             if len(parts) != 2:
+                _floats(tokens)  # a bad number on an earlier line is reported first
                 raise ValueError(f"expected 're im' per line, got {raw!r}")
-            amps.append(complex(float(parts[0]), float(parts[1])))
-    return StateVector(d, n, np.asarray(amps))
+            tokens += parts
+    # (re, im) float pairs viewed as complex keep the sign of a zero part
+    return StateVector(d, n, _floats(tokens).view(np.complex128))
 
 
 def _read_circuit(path: str) -> Circuit | None:
@@ -108,7 +110,7 @@ def _read_circuit(path: str) -> Circuit | None:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -147,16 +149,14 @@ def cmd_simulate(args) -> int:
             print(",".join(map(str, label)))
         return 0
 
-    entries = [
-        {"index": i, "re": float(a.real), "im": float(a.imag)}
-        for i, a in enumerate(out.amps)
-        if abs(a) >= AMP_EPSILON
-    ]
+    idx = np.flatnonzero(np.abs(out.amps) >= AMP_EPSILON)
+    kept = out.amps[idx]
+    rows = zip(idx.tolist(), kept.real.tolist(), kept.imag.tolist())
     if args.json:
+        entries = [{"index": i, "re": re, "im": im} for i, re, im in rows]
         print(json.dumps({"amplitudes": entries}))
     else:
-        for e in entries:
-            print(f"{e['index']} {_fmt(e['re'])} {_fmt(e['im'])}")
+        sys.stdout.write("".join("%d %.17g %.17g\n" % row for row in rows))
     return 0
 
 

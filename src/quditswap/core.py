@@ -53,9 +53,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 @dataclass(frozen=True, eq=False)
 class GateMatrix:

@@ -5,6 +5,8 @@ straight from the paper's formulas, so it shares no code with the index
 tables, phase vectors and wire-axis kernel of the package.  Sizes stay small.
 """
 
+import json
+
 import numpy as np
 
 from quditswap.core import GateMatrix, StateVector
@@ -154,3 +156,30 @@ def delta_sum_max_dev(d: int) -> float:
                 expected = d if (x + y + l) % d == 0 else 0
                 worst = max(worst, float(abs(total - expected)))
     return worst
+
+
+def format_amplitudes(amps: np.ndarray, as_json: bool) -> str:
+    """Amplitude output of ``quditswap simulate``: one dict and one f-string per amplitude."""
+    entries = [
+        {"index": i, "re": float(a.real), "im": float(a.imag)}
+        for i, a in enumerate(amps)
+        if abs(a) >= 1e-12
+    ]
+    if as_json:
+        return json.dumps({"amplitudes": entries}) + "\n"
+    return "".join(f"{e['index']} {e['re']:.17g} {e['im']:.17g}\n" for e in entries)
+
+
+def load_state(path, d: int, n: int) -> StateVector:
+    """Amplitude file reader of ``quditswap simulate``, one line and one complex at a time."""
+    amps = []
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.replace(",", " ").split()
+            if len(parts) != 2:
+                raise ValueError(f"expected 're im' per line, got {raw!r}")
+            amps.append(complex(float(parts[0]), float(parts[1])))
+    return StateVector(d, n, np.asarray(amps))

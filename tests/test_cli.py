@@ -269,3 +269,24 @@ def test_simulate_rejects_out_of_range_digit(label, digit, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert f"digit {digit} out of range for d=3" in err
+
+
+NOT_UTF8_QC = b"dim 3\nwires 2\nCX 1 2 \xff\n"
+
+
+def test_parse_non_utf8_circuit_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "bad.qc"
+    f.write_bytes(NOT_UTF8_QC)
+    code, out, err = run(["parse", "--circuit", str(f)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "utf-8" in err
+
+
+def test_simulate_non_utf8_circuit_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "bad.qc"
+    f.write_bytes(NOT_UTF8_QC)
+    code, out, err = run(["simulate", "--circuit", str(f), "--input", "0,0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "utf-8" in err

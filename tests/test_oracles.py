@@ -1,44 +1,50 @@
 """The fast gate forms and the wire-axis kernel against the slow oracles."""
 
+import contextlib
+import io
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from quditswap import cli
 from quditswap.circuit import (
     Circuit,
     GateOp,
     circuit_unitary,
     cx_tilde_decomposition,
     cx_tilde_decomposition_alt,
+    expand_cx_tilde,
     gate_matrix,
     simulate,
+    table_dist,
 )
-from quditswap.core import GateMatrix, StateVector, max_entry_dist
-from quditswap.gates import GateKind, cx_tilde, cz_d, swap_ref
-from quditswap.verify import (
-    verify_asymmetric_swap,
-    verify_delta_sum,
-    verify_self_inverse,
-    verify_swap,
-)
+from quditswap.core import DimensionError, GateMatrix, StateVector, max_entry_dist
+from quditswap.gates import GateKind, cx_tilde, cz_d, qft, swap_ref
+from quditswap.verify import verify_all, verify_decomposition, verify_delta_sum
 
 KINDS = list(GateKind)
+PERM_KINDS = [k for k in KINDS if oracles.perm_table(k, 2) is not None]
 
 
 @st.composite
-def circuits(draw):
-    d = draw(st.integers(2, 5))
-    n = draw(st.integers(1, 4))
-    kinds = [k for k in KINDS if k.arity <= n]
+def circuits_on(draw, d, n, kinds=KINDS):
+    kinds = [k for k in kinds if k.arity <= n]
     ops = []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(kinds))
         wires = draw(st.permutations(range(1, n + 1)))[: kind.arity]
         ops.append(GateOp(kind, tuple(wires), d))
     return Circuit(d, n, tuple(ops))
+
+
+@st.composite
+def circuits(draw):
+    return draw(circuits_on(draw(st.integers(2, 5)), draw(st.integers(1, 4))))
 
 
 def _random_amps(seed, size):
@@ -138,6 +144,61 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
+@st.composite
+def circuit_and_table(draw):
+    """A circuit and a table of its size.
+
+    The table is a random permutation, or the table of a random circuit of
+    permutation gates.  The circuit is a random mixed one, whose blocks the
+    table's support often leaves, or that permutation circuit with its CXT
+    gates expanded into QFT / CZ / QFT, within rounding of the table.
+    """
+    d, n = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    perm_circuit = draw(circuits_on(d, n, PERM_KINDS))
+    table = circuit_unitary(perm_circuit)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        table = GateMatrix(perm=rng.permutation(d**n))
+    if draw(st.booleans()):
+        return expand_cx_tilde(perm_circuit), table
+    return draw(circuits_on(d, n)), table
+
+
+@settings(deadline=None, max_examples=150)
+@given(circuit_and_table())
+@example((cx_tilde_decomposition(4), cx_tilde(4)))
+@example((cx_tilde_decomposition_alt(5), cx_tilde(5)))
+@example((Circuit(3, 2, _ops(3, (GateKind.QFT, (2,)))), swap_ref(3)))
+@example((Circuit(3, 2, _ops(3, (GateKind.CZd, (1, 2)))), cx_tilde(3)))
+def test_table_dist_matches_dense_compare(drawn):
+    c, table = drawn
+    assert table_dist(c, table) == max_entry_dist(circuit_unitary(c), table)
+
+
+def test_table_dist_counts_a_label_leaving_its_block():
+    # QFT on wire 2 keeps wire 1 and makes every block entry 1/2 in size;
+    # CX with control 2 moves every label whose second digit is not 0 off its block
+    d = 4
+    c = Circuit(d, 2, _ops(d, (GateKind.QFT, (2,))))
+    table = circuit_unitary(Circuit(d, 2, _ops(d, (GateKind.CXd, (2, 1)))))
+    assert table_dist(c, table) == max_entry_dist(circuit_unitary(c), table) == 1.0
+
+
+def test_table_dist_rejects_a_target_that_is_not_a_table_of_its_size():
+    c = cx_tilde_decomposition(3)
+    with pytest.raises(DimensionError, match="permutation table"):
+        table_dist(c, qft(9))
+    with pytest.raises(DimensionError):
+        table_dist(c, cx_tilde(4))
+
+
+def test_verify_decomposition_allocates_less_than_a_quarter_of_the_unitary():
+    d = 32
+    verify_decomposition(d)  # lazy set-up is not counted
+    _, peak = _peak_bytes(lambda: verify_decomposition(d))
+    assert peak < d**4 * 16 / 4
+
+
 def test_unitary_and_compare_allocate_little_beyond_the_output():
     c, target = cx_tilde_decomposition(16), cx_tilde(16)
     u, build_peak = _peak_bytes(lambda: circuit_unitary(c))
@@ -179,13 +240,74 @@ def test_delta_sum_matches_loop(d):
 
 
 def test_exact_identities_zero_for_every_d():
-    for d in range(2, 65):
-        for check in (verify_swap, verify_self_inverse, verify_asymmetric_swap):
-            r = check(d)
-            assert r.max_dev == 0.0 and r.tolerance == 0.0, (check.__name__, d)
+    exact = {"swap", "self_inverse", "asymmetric_swap", "partial_swap", "random_states"}
+    reports = [r for r in verify_all(2, 64) if r.identity_name in exact]
+    assert len(reports) == 5 * 63
+    for r in reports:
+        assert r.max_dev == 0.0 and r.tolerance == 0.0, (r.identity_name, r.d)
 
 
 def test_large_gates_hold_no_dense_matrix():
     for g in (cx_tilde(64), swap_ref(64), cz_d(64)):
         held = [a for a in (g.matrix, g.perm, g.phases) if a is not None]
         assert len(held) == 1 and held[0].size <= 4096
+
+
+def _state_file(path, amps):
+    """Amplitude file in each form the reader takes: spaces, commas, comments, blank lines."""
+    forms = ("{!r} {!r}\n", "{!r},{!r}  # amplitude\n", "  {!r} , {!r}\t\n")
+    lines = [forms[i % 3].format(float(a.real), float(a.imag)) for i, a in enumerate(amps)]
+    path.write_text("# state\n\n" + "".join(lines), encoding="utf-8")
+
+
+def _check_simulate_io(tmp, d, n, amps):
+    """Reader and amplitude output of ``quditswap simulate`` against the oracles.
+
+    An ID gate moves the amplitudes unchanged, so the output shows the
+    formatter alone.
+    """
+    state, qc = tmp / "state.txt", tmp / "id.qc"
+    _state_file(state, amps)
+    qc.write_text(f"dim {d}\nwires {n}\nID 1\n", encoding="utf-8")
+    want = oracles.load_state(state, d, n).amps
+    got = cli._load_state(str(state), d, n).amps
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for flags in ((), ("--json",)):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(["simulate", "--circuit", str(qc), "--state", str(state), *flags]) == 0
+        assert buf.getvalue() == oracles.format_amplitudes(want, bool(flags))
+
+
+def test_simulate_io_matches_oracle_at_the_edges(tmp_path):
+    eps = cli.AMP_EPSILON
+    parts = [0.0, -0.0, 5e-324, -2.5e-308, eps, -eps, np.nextafter(eps, 0),
+             np.nextafter(eps, 1), 0.6, -1.0]
+    amps = np.array([complex(re, im) for re in parts for im in parts])
+    _check_simulate_io(tmp_path, 10, 2, amps)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 1), (3, 2), (2, 5), (5, 2)]),
+       st.sampled_from([1.0, 1e-11]))
+def test_simulate_io_matches_oracle_on_random_states(seed, shape, scale):
+    d, n = shape
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_simulate_io(Path(tmp), d, n, scale * _random_amps(seed, d**n))
+
+
+@pytest.mark.parametrize("text", [
+    "1 0\n",  # too few amplitudes
+    "1 0\n0 0 0\n",
+    "1 0\n,\n",
+    "1 0\nabc 0\n",
+    "x 0\n1 2 3\n",  # the bad number comes first
+])
+def test_load_state_errors_match_oracle(tmp_path, text):
+    f = tmp_path / "state.txt"
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as want:
+        oracles.load_state(f, 2, 1)
+    with pytest.raises(ValueError) as got:
+        cli._load_state(str(f), 2, 1)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
