@@ -2,7 +2,8 @@
 
 Op order is temporal order (leftmost figure gate first); the circuit unitary
 is the product of the ops with the first op as the rightmost factor.  The
-kernel here is the only code that applies a gate.
+kernel ``_run`` is the only code that applies a gate; it may overwrite the
+array it is given.
 Wires are 1-based with wire 1 on top, matching the subscript convention
 where a gate written with control i and target j acts control-on-wire-i.
 """
@@ -22,7 +23,6 @@ from .core import (
     GateMatrix,
     StateVector,
     _check_dim,
-    max_entry_dist,
 )
 from .gates import (
     GateKind,
@@ -112,32 +112,39 @@ def _check_budget(d: int, n: int, budget: int = MAX_STATE_SIZE) -> None:
         raise DimensionError(f"register size d^n = {d}^{n} exceeds budget {budget}")
 
 
-def _apply_op(op: GateOp, g: GateMatrix, t: np.ndarray) -> np.ndarray:
-    """Apply ``op``, built as ``g``, to a ``(d,)*n + (cols,)`` array on its wire axes.
-
-    The wire axes are moved to the front and flattened into rows, so a table
-    moves rows, phases scale them and a dense gate multiplies them; the
-    result has the input's shape.
-    """
-    k = len(op.wires)
-    axes = [w - 1 for w in op.wires]
-    front = np.moveaxis(t, axes, range(k))
-    rows = front.reshape(op.d**k, -1)
-    if g.perm is not None:
-        out = np.empty_like(rows)
-        out[g.perm] = rows
-    elif g.phases is not None:
-        out = g.phases[:, None] * rows
-    else:
-        out = g.matrix @ rows
-    return np.moveaxis(out.reshape(front.shape), range(k), axes)
-
-
 def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
-    """Apply every op of ``c`` to the d^n rows of ``t``; returns (d^n, cols)."""
-    t = t.reshape((c.d,) * c.n + (-1,))
+    """Apply every op of ``c`` to the d^n rows of ``t``; returns (d^n, cols).
+
+    May overwrite ``t``: the run holds it and one work array of its size.  A
+    phase gate scales in place; any other op reads its wire axes as d^k rows
+    from one array, copied there unless in order already, and writes the other.
+    """
+    a = t.reshape(-1)
+    work = np.empty_like(a)
+    t = a.reshape((c.d,) * c.n + (-1,))
     for op, g in zip(c.ops, c.gates):
-        t = _apply_op(op, g, t)
+        k = len(op.wires)
+        axes = [w - 1 for w in op.wires]
+        front = np.moveaxis(t, axes, range(k))
+        if g.phases is not None:
+            # taken in memory order, the multiply buffers only the phases
+            order = np.argsort(front.strides)[::-1]
+            ph = g.phases.reshape((op.d,) * k + (1,) * (t.ndim - k)).transpose(order)
+            np.multiply(ph, front.transpose(order), out=front.transpose(order))
+            continue
+        if front.flags.c_contiguous:  # the rows are in order already: write to the other
+            a, work = work, a
+        else:
+            np.copyto(work.reshape(front.shape), front)
+        rows, out = work.reshape(op.d**k, -1), a.reshape(op.d**k, -1)
+        if g.perm is not None:
+            out[g.perm] = rows
+        else:
+            np.matmul(g.matrix, rows, out=out)
+        t = np.moveaxis(out.reshape(front.shape), range(k), axes)
+    if not t.flags.c_contiguous:  # one last copy puts the axes back in order
+        np.copyto(work.reshape(t.shape), t)
+        t = work.reshape(t.shape)
     return t.reshape(c.d**c.n, -1)
 
 
@@ -217,16 +224,17 @@ def table_dist(c: Circuit, table: GateMatrix) -> float:
     if table.perm is None or table.dim != d**n:
         raise DimensionError(f"expected a permutation table on {d**n} labels")
     if all(g.perm is not None for g in c.gates):
-        return max_entry_dist(circuit_unitary(c), table)  # two tables, exactly
+        _check_budget(d, n)  # two tables, exactly; the run holds d^n labels, no unitary
+        landed = _run(c, np.arange(d**n))[:, 0]  # entry i: the label that lands on i
+        return 0.0 if np.array_equal(table.perm[landed], np.arange(d**n)) else 1.0
     blocks, kept, free = _blocks(c)
     digits = np.array(np.unravel_index(np.arange(d**n), (d,) * n))
     src = digits[:, np.argsort(table.perm)]  # digits of the column landing on each row
     rows = np.flatnonzero((src[kept] == digits[kept]).all(axis=0))
     cols = (d ** np.arange(len(free))[::-1] @ src[free])[rows]  # its place in the block
     flat = blocks.reshape(d**n, -1)
-    dist = np.abs(flat)
-    dist[rows, cols] = np.abs(flat[rows, cols] - 1)
-    return max(float(dist.max()), 0.0 if rows.size == d**n else 1.0)
+    flat[rows, cols] -= 1
+    return max(float(np.abs(flat).max()), 0.0 if rows.size == d**n else 1.0)
 
 
 def simulate(c: Circuit, s: StateVector) -> StateVector:
@@ -236,7 +244,7 @@ def simulate(c: Circuit, s: StateVector) -> StateVector:
             f"state ({s.d}, {s.n}) does not match circuit ({c.d}, {c.n})"
         )
     _check_budget(c.d, c.n)
-    return StateVector(c.d, c.n, _run(c, s.amps)[:, 0])
+    return StateVector(c.d, c.n, _run(c, s.amps.copy())[:, 0])
 
 
 def swap_circuit(d: int) -> Circuit:

@@ -146,6 +146,15 @@ def kron(a: GateMatrix, b: GateMatrix) -> GateMatrix:
     return GateMatrix(np.kron(a.entries, b.entries))
 
 
+def random_states(rng: np.random.Generator, size: int, trials: int) -> np.ndarray:
+    """Random normalised states as columns, two draws and one norm per state."""
+    cols = np.empty((size, trials), dtype=np.complex128)
+    for j in range(trials):
+        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        cols[:, j] = v / np.linalg.norm(v)
+    return cols
+
+
 def delta_sum_max_dev(d: int) -> float:
     """Worst |sum_k e^{i 2pi (x+y+l) k / d} - d delta| over every x, y, l."""
     worst = 0.0

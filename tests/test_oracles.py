@@ -15,6 +15,7 @@ from quditswap import cli
 from quditswap.circuit import (
     Circuit,
     GateOp,
+    _run,
     circuit_unitary,
     cx_tilde_decomposition,
     cx_tilde_decomposition_alt,
@@ -23,9 +24,15 @@ from quditswap.circuit import (
     simulate,
     table_dist,
 )
-from quditswap.core import DimensionError, GateMatrix, StateVector, max_entry_dist
+from quditswap.core import (
+    DimensionError,
+    GateMatrix,
+    StateVector,
+    identity_matrix,
+    max_entry_dist,
+)
 from quditswap.gates import GateKind, cx_tilde, cz_d, qft, swap_ref
-from quditswap.verify import verify_all, verify_decomposition, verify_delta_sum
+from quditswap.verify import _random_states, verify_all, verify_decomposition, verify_delta_sum
 
 KINDS = list(GateKind)
 PERM_KINDS = [k for k in KINDS if oracles.perm_table(k, 2) is not None]
@@ -70,6 +77,43 @@ def test_circuit_unitary_matches_oracle_product(c):
     if all(gate_matrix(op.kind, c.d).perm is not None for op in c.ops):
         assert u.perm is not None
         assert np.array_equal(u.entries, want)
+
+
+@settings(deadline=None, max_examples=150)
+@given(circuits(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(Circuit(3, 3, (GateOp(GateKind.QFT, (2,), 3), GateOp(GateKind.CZd, (3, 2), 3),
+                        GateOp(GateKind.QFT, (2,), 3), GateOp(GateKind.CXd, (3, 1), 3),
+                        GateOp(GateKind.CXd, (3, 1), 3), GateOp(GateKind.IQFT, (1,), 3))),
+         2, 0)
+@example(Circuit(2, 4, (GateOp(GateKind.SWAP, (4, 1), 2), GateOp(GateKind.CXTilde, (4, 1), 2),
+                        GateOp(GateKind.Xd, (1,), 2), GateOp(GateKind.CXdDag, (2, 1), 2))),
+         3, 1)
+def test_run_in_place_matches_oracle_product(c, cols, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((c.d**c.n, cols)) + 1j * rng.standard_normal((c.d**c.n, cols))
+    want = oracles.unitary(c) @ x
+    got = _run(c, x.copy())
+    assert got.shape == want.shape
+    if all(oracles.perm_table(op.kind, c.d) is not None for op in c.ops):
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_run_of_an_empty_circuit_returns_the_input_values():
+    x = np.arange(12, dtype=np.complex128).reshape(12, 1) * (1 - 2j)
+    assert np.array_equal(_run(Circuit(2, 2), x.reshape(4, 3).copy()), x.reshape(4, 3))
+    assert np.array_equal(_run(Circuit(12, 1), x.copy()), x)
+
+
+def test_simulate_leaves_its_input_unchanged_and_read_only():
+    c = cx_tilde_decomposition(3)
+    amps = _random_amps(5, 9)
+    s = StateVector(3, 2, amps)
+    before = s.amps.copy()
+    out = simulate(c, s)
+    assert np.array_equal(s.amps, before) and not s.amps.flags.writeable
+    assert not np.array_equal(out.amps, before)
 
 
 def _ops(d, *specs):
@@ -199,6 +243,25 @@ def test_verify_decomposition_allocates_less_than_a_quarter_of_the_unitary():
     assert peak < d**4 * 16 / 4
 
 
+def test_verify_decomposition_allocates_one_work_array():
+    # the blocks and one work array of their size, the one abs, and small arrays
+    d = 32
+    verify_decomposition(d)
+    _, peak = _peak_bytes(lambda: verify_decomposition(d))
+    assert peak <= 2.5 * d**3 * 16
+
+
+def test_simulate_allocates_one_copy_and_one_work_array():
+    d, n = 2, 16
+    rng = np.random.default_rng(3)
+    wires = [rng.permutation(range(1, n + 1))[: kind.arity] for kind in KINDS * 2]
+    c = Circuit(d, n, tuple(GateOp(kind, tuple(w), d) for kind, w in zip(KINDS * 2, wires)))
+    s = StateVector(d, n, _random_amps(3, d**n))
+    simulate(c, s)  # builds the gates
+    _, peak = _peak_bytes(lambda: simulate(c, s))
+    assert peak <= 2.25 * s.amps.nbytes
+
+
 def test_unitary_and_compare_allocate_little_beyond_the_output():
     c, target = cx_tilde_decomposition(16), cx_tilde(16)
     u, build_peak = _peak_bytes(lambda: circuit_unitary(c))
@@ -207,6 +270,23 @@ def test_unitary_and_compare_allocate_little_beyond_the_output():
     for args in ((u, target), (target, u)):
         _, compare_peak = _peak_bytes(lambda: max_entry_dist(*args))
         assert compare_peak <= 0.75 * size
+
+
+def test_table_dist_of_a_permutation_circuit_needs_only_the_state_budget():
+    # 2^13 labels are over the unitary budget of 4096 but well within the state's
+    d, n = 2, 13
+    c = Circuit(d, n, (GateOp(GateKind.CXd, (1, 2), d),) * 2)
+    assert table_dist(c, identity_matrix(d**n)) == 0.0
+    once = Circuit(d, n, c.ops[:1])
+    assert table_dist(once, identity_matrix(d**n)) == 1.0
+
+
+@pytest.mark.parametrize("size", [2, 3, 40, 1600, 4096])
+@pytest.mark.parametrize("trials", [1, 20])
+def test_random_states_match_the_per_trial_loop(size, trials):
+    got = _random_states(np.random.default_rng(size + trials), size, trials)
+    want = oracles.random_states(np.random.default_rng(size + trials), size, trials)
+    assert np.array_equal(got, want)
 
 
 @given(st.integers(2, 5))
