@@ -2,8 +2,8 @@
 
 Op order is temporal order (leftmost figure gate first); the circuit unitary
 is the product of the ops with the first op as the rightmost factor.  The
-kernel ``_run`` is the only code that applies a gate; it may overwrite the
-array it is given.
+kernel ``_run`` is the only code that applies a gate to amplitudes, and may
+overwrite the array it is given; ``_follow`` moves labels through tables.
 Wires are 1-based with wire 1 on top, matching the subscript convention
 where a gate written with control i and target j acts control-on-wire-i.
 """
@@ -146,6 +146,18 @@ def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
         np.copyto(work.reshape(t.shape), t)
         t = work.reshape(t.shape)
     return t.reshape(c.d**c.n, -1)
+
+
+def _follow(c: Circuit, digits: np.ndarray) -> np.ndarray:
+    """The labels that m basis labels land on under ``c``, whose gates are all tables.
+
+    ``digits`` and the result are (n, m): one label per column, wire 1 in row 0.
+    """
+    digits = np.array(digits, dtype=np.intp)
+    for op, g in zip(c.ops, c.gates):
+        rows, shape = [w - 1 for w in op.wires], (c.d,) * len(op.wires)
+        digits[rows] = np.unravel_index(g.perm[np.ravel_multi_index(digits[rows], shape)], shape)
+    return digits
 
 
 def _changed_wires(op: GateOp, g: GateMatrix) -> set[int]:

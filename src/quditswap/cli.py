@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from .circuit import Circuit, _check_budget, gate_matrix, simulate
-from .core import StateVector, basis_state
+from .circuit import Circuit, _check_budget, _follow, gate_matrix, simulate
+from .core import StateVector, _check_digits, basis_state
 from .dsl import MNEMONICS, ParseError, parse, render
 from .verify import VerificationReport, check_d_range, verify_all
 
@@ -35,7 +35,7 @@ def cmd_verify(args) -> int:
         return _usage_error(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if args.seed < 0:
         return _usage_error(f"--seed must be >= 0, got {args.seed}")
-    reports = verify_all(args.d_min, args.d_max, seed=args.seed)
+    reports = verify_all(args.d_min, args.d_max)
     if args.tolerance is not None:
         reports = [
             VerificationReport(r.identity_name, r.d, r.max_dev, args.tolerance)
@@ -123,7 +123,6 @@ def cmd_simulate(args) -> int:
         return 2
     if (args.input is None) == (args.state is None):
         return _usage_error("exactly one of --input / --state is required")
-    basis_input = None
     try:
         _check_budget(circ.d, circ.n)  # before the state allocates d^n amplitudes
         # building the gates here makes a gate over its budget a usage error
@@ -132,23 +131,22 @@ def cmd_simulate(args) -> int:
             digits = tuple(int(t) for t in args.input.split(","))
             if len(digits) != circ.n:
                 raise ValueError(f"expected {circ.n} digits, got {len(digits)}")
-            state = basis_state(digits, circ.d)
-            basis_input = digits
+            _check_digits(digits, circ.d)
+            state = None if permutation_only else basis_state(digits, circ.d)
         else:
             state = _load_state(args.state, circ.d, circ.n)
     except (ValueError, OSError) as exc:
         return _usage_error(exc)
 
-    out = simulate(circ, state)
-    if basis_input is not None and permutation_only:
-        idx = int(np.argmax(np.abs(out.amps)))
-        label = [int(x) for x in np.unravel_index(idx, (circ.d,) * circ.n)]
+    if state is None:  # tables move a label to a label: follow it, allocate no state
+        label = _follow(circ, np.array(digits)[:, None])[:, 0].tolist()
         if args.json:
             print(json.dumps({"label": label}))
         else:
             print(",".join(map(str, label)))
         return 0
 
+    out = simulate(circ, state)
     idx = np.flatnonzero(np.abs(out.amps) >= AMP_EPSILON)
     kept = out.amps[idx]
     rows = zip(idx.tolist(), kept.real.tolist(), kept.imag.tolist())
@@ -180,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--d-max", type=int, required=True)
     v.add_argument("--tolerance", type=float, default=None,
                    help="override the pass/fail tolerance for every check")
-    v.add_argument("--seed", type=int, default=42)
+    v.add_argument("--seed", type=int, default=42,
+                   help="has no effect: no check samples (still checked to be >= 0)")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 

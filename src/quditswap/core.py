@@ -119,12 +119,16 @@ def identity_matrix(dim: int) -> GateMatrix:
     return GateMatrix(perm=np.arange(dim))
 
 
-def basis_state(digits: tuple[int, ...], d: int) -> StateVector:
-    """Computational basis state |x1 x2 ... xn> of n qudits of dimension d."""
-    _check_dim(d)
+def _check_digits(digits: tuple[int, ...], d: int) -> None:
     for x in digits:
         if not 0 <= x < d:
             raise ValueError(f"digit {x} out of range for d={d}")
+
+
+def basis_state(digits: tuple[int, ...], d: int) -> StateVector:
+    """Computational basis state |x1 x2 ... xn> of n qudits of dimension d."""
+    _check_dim(d)
+    _check_digits(digits, d)
     n = len(digits)
     amps = np.zeros(d**n, dtype=np.complex128)
     amps[np.ravel_multi_index(digits, (d,) * n)] = 1.0

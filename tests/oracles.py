@@ -3,12 +3,16 @@
 Everything here is written with per-index Python loops or dense matrices
 straight from the paper's formulas, so it shares no code with the index
 tables, phase vectors and wire-axis kernel of the package.  Sizes stay small.
+The sampled checks are the exception: they run random states through the
+package's gates and kernel, as the identity suite did before it proved the
+permutation claims on basis labels.
 """
 
 import json
 
 import numpy as np
 
+from quditswap.circuit import _run, partial_swap_circuit, swap_circuit
 from quditswap.core import GateMatrix, StateVector
 from quditswap.gates import GateKind
 
@@ -153,6 +157,24 @@ def random_states(rng: np.random.Generator, size: int, trials: int) -> np.ndarra
         v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         cols[:, j] = v / np.linalg.norm(v)
     return cols
+
+
+def sampled_partial_swap(d: int, seed: int = 42, trials: int = 20) -> float:
+    """Worst deviation of the partial swap from |phi>|0> -> |0>|phi> on random phi."""
+    phis = random_states(np.random.default_rng(seed), d, trials)
+    amps = np.zeros((d * d, trials), dtype=np.complex128)
+    amps[::d] = phis
+    out = _run(partial_swap_circuit(d), amps)
+    out[:d] -= phis  # expected: phi on the rows |0>|y>, zero elsewhere
+    return float(np.abs(out).max())
+
+
+def sampled_random_states(d: int, seed: int = 42, trials: int = 20) -> float:
+    """Worst deviation of SWAP from transposing the amplitudes of random states."""
+    states = random_states(np.random.default_rng(seed), d * d, trials)
+    transposed = states.reshape(d, d, trials).swapaxes(0, 1).reshape(d * d, trials)
+    out = _run(swap_circuit(d), states.copy())
+    return float(np.abs(out - transposed).max())
 
 
 def delta_sum_max_dev(d: int) -> float:

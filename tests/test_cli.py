@@ -271,6 +271,17 @@ def test_simulate_rejects_out_of_range_digit(label, digit, tmp_path, capsys):
     assert f"digit {digit} out of range for d=3" in err
 
 
+def test_simulate_rejects_out_of_range_digit_on_a_dense_circuit(tmp_path, capsys):
+    # a dense circuit runs a state built from the label, a table circuit
+    # follows the label itself: both check its digits the same way
+    f = tmp_path / "decomp.qc"
+    f.write_text(DECOMP_QC)
+    code, out, err = run(["simulate", "--circuit", str(f), "--input", "4,0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "digit 4 out of range for d=4" in err
+
+
 NOT_UTF8_QC = b"dim 3\nwires 2\nCX 1 2 \xff\n"
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from quditswap import cli
+from quditswap import circuit, cli
 from quditswap.circuit import (
     Circuit,
     GateOp,
@@ -28,11 +29,19 @@ from quditswap.core import (
     DimensionError,
     GateMatrix,
     StateVector,
+    basis_state,
     identity_matrix,
     max_entry_dist,
 )
+from quditswap.dsl import render
 from quditswap.gates import GateKind, cx_tilde, cz_d, qft, swap_ref
-from quditswap.verify import _random_states, verify_all, verify_decomposition, verify_delta_sum
+from quditswap.verify import (
+    random_state_check,
+    verify_all,
+    verify_decomposition,
+    verify_delta_sum,
+    verify_partial_swap,
+)
 
 KINDS = list(GateKind)
 PERM_KINDS = [k for k in KINDS if oracles.perm_table(k, 2) is not None]
@@ -281,14 +290,6 @@ def test_table_dist_of_a_permutation_circuit_needs_only_the_state_budget():
     assert table_dist(once, identity_matrix(d**n)) == 1.0
 
 
-@pytest.mark.parametrize("size", [2, 3, 40, 1600, 4096])
-@pytest.mark.parametrize("trials", [1, 20])
-def test_random_states_match_the_per_trial_loop(size, trials):
-    got = _random_states(np.random.default_rng(size + trials), size, trials)
-    want = oracles.random_states(np.random.default_rng(size + trials), size, trials)
-    assert np.array_equal(got, want)
-
-
 @given(st.integers(2, 5))
 def test_gate_forms_match_oracle(d):
     for kind in KINDS:
@@ -325,6 +326,92 @@ def test_exact_identities_zero_for_every_d():
     assert len(reports) == 5 * 63
     for r in reports:
         assert r.max_dev == 0.0 and r.tolerance == 0.0, (r.identity_name, r.d)
+
+
+def test_label_proofs_agree_with_sampled_checks():
+    for d in range(2, 65):
+        assert verify_partial_swap(d).max_dev == oracles.sampled_partial_swap(d) == 0.0, d
+        assert random_state_check(d).max_dev == oracles.sampled_random_states(d) == 0.0, d
+
+
+def _exchanged(build):
+    """``build`` with the table entries of source labels (1, 0) and (1, 1) exchanged."""
+    def mutant(d):
+        perm = build(d).perm.copy()
+        perm[[d, d + 1]] = perm[[d + 1, d]]
+        return GateMatrix(perm=perm)
+    return mutant
+
+
+# the mutant is the table of each circuit's first op, which reads (1, 0) for
+# label (1, 0) of the partial swap and for label (0, 1) of SWAP
+@pytest.mark.parametrize("check,sampled,kind", [
+    (verify_partial_swap, oracles.sampled_partial_swap, GateKind.CXd),
+    (random_state_check, oracles.sampled_random_states, GateKind.CXTilde),
+], ids=["partial_swap", "random_states"])
+@pytest.mark.parametrize("d", [2, 3, 7, 64])
+def test_label_proofs_and_sampled_checks_fail_on_one_exchanged_entry(
+        monkeypatch, check, sampled, kind, d):
+    monkeypatch.setitem(circuit._BUILDERS, kind, _exchanged(circuit._BUILDERS[kind]))
+    r = check(d)
+    assert r.max_dev == 1.0 and not r.passed
+    assert sampled(d) > 0.0
+
+
+def _cli_out(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def _check_label_path(qc, c, label):
+    """``quditswap simulate --input`` on a table circuit against simulate + argmax."""
+    qc.write_text(render(c), encoding="utf-8")
+    out = simulate(c, basis_state(label, c.d))
+    want = [int(x) for x in np.unravel_index(np.argmax(np.abs(out.amps)), (c.d,) * c.n)]
+    argv = ["simulate", "--circuit", str(qc), "--input", ",".join(map(str, label))]
+    assert _cli_out(argv) == (0, ",".join(map(str, want)) + "\n")
+    assert _cli_out(argv + ["--json"]) == (0, json.dumps({"label": want}) + "\n")
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(2, 5).flatmap(lambda d: st.integers(1, 6).flatmap(lambda n: st.tuples(
+    circuits_on(d, n, PERM_KINDS), st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))))
+def test_cli_label_path_matches_simulate(case):
+    c, label = case
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_label_path(Path(tmp) / "perm.qc", c, tuple(label))
+
+
+def _random_perm_circuit(rng, d, n, count):
+    ops = []
+    for _ in range(count):
+        kind = PERM_KINDS[rng.integers(len(PERM_KINDS))]
+        wires = rng.permutation(n)[: kind.arity] + 1
+        ops.append(GateOp(kind, tuple(wires), d))
+    return Circuit(d, n, tuple(ops))
+
+
+def test_cli_label_path_matches_simulate_on_2_to_the_13(tmp_path):
+    rng = np.random.default_rng(13)
+    c = _random_perm_circuit(rng, 2, 13, 40)
+    for _ in range(3):
+        _check_label_path(tmp_path / "perm.qc", c, tuple(rng.integers(0, 2, 13).tolist()))
+
+
+def test_cli_label_path_allocates_no_register(tmp_path):
+    # 2^20 amplitudes would take 16 MB; one label's digits take 160 B
+    rng = np.random.default_rng(20)
+    c = _random_perm_circuit(rng, 2, 20, 40)
+    label = tuple(rng.integers(0, 2, 20).tolist())
+    qc = tmp_path / "perm.qc"
+    qc.write_text(render(c), encoding="utf-8")
+    argv = ["simulate", "--circuit", str(qc), "--input", ",".join(map(str, label))]
+    (code, out), peak = _peak_bytes(lambda: _cli_out(argv))
+    assert code == 0 and peak < 2**20
+    amps = simulate(c, basis_state(label, 2)).amps
+    assert out == ",".join(map(str, np.unravel_index(np.argmax(np.abs(amps)), (2,) * 20))) + "\n"
 
 
 def test_large_gates_hold_no_dense_matrix():

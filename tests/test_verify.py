@@ -78,17 +78,8 @@ def test_verify_asymmetric_and_partial():
 
 
 def test_random_state_check():
-    r = random_state_check(3, seed=42, trials=100)
+    r = random_state_check(3)
     assert r.passed and r.max_dev <= 1e-10
-    with pytest.raises(ValueError):
-        random_state_check(3, trials=0)
-
-
-@pytest.mark.parametrize("trials", [0, -1])
-def test_partial_swap_rejects_no_trials(trials):
-    # a check over no trials would compare nothing and pass
-    with pytest.raises(ValueError, match="trials must be >= 1"):
-        verify_partial_swap(3, trials=trials)
 
 
 def test_maximally_entangled_state_invariant():
