@@ -40,15 +40,7 @@ from .circuit import (
     swap_circuit_alt,
     table_dist,
 )
-from .verify import (
-    VerificationReport,
-    random_state_check,
-    verify_all,
-    verify_decomposition,
-    verify_delta_sum,
-    verify_self_inverse,
-    verify_swap,
-)
+from .verify import VerificationReport, verify_all, verify_identity
 from .dsl import ParseError, parse, render
 
 __all__ = [
@@ -81,12 +73,8 @@ __all__ = [
     "partial_swap_circuit",
     "expand_cx_tilde",
     "VerificationReport",
-    "verify_swap",
-    "verify_decomposition",
-    "verify_self_inverse",
-    "verify_delta_sum",
+    "verify_identity",
     "verify_all",
-    "random_state_check",
     "ParseError",
     "parse",
     "render",

@@ -33,8 +33,6 @@ def cmd_verify(args) -> int:
         return _usage_error(f"--d-min {args.d_min} --d-max {args.d_max}: {exc}")
     if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
         return _usage_error(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    if args.seed < 0:
-        return _usage_error(f"--seed must be >= 0, got {args.seed}")
     reports = verify_all(args.d_min, args.d_max)
     if args.tolerance is not None:
         reports = [
@@ -178,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--d-max", type=int, required=True)
     v.add_argument("--tolerance", type=float, default=None,
                    help="override the pass/fail tolerance for every check")
-    v.add_argument("--seed", type=int, default=42,
-                   help="has no effect: no check samples (still checked to be >= 0)")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 

@@ -1,11 +1,13 @@
-"""Executable identity suite: every algebraic claim checked numerically.
+"""Executable identity suite: the paper's claims as one table of identities.
 
-Permutation identities (SWAP, self-inverse, the asymmetric and partial
-swaps) are checked on basis labels through exact integer tables, and must
-report exactly 0: by linearity, a circuit that permutes labels needs no sampled
-state.  The QFT / controlled-phase decompositions are compared with their
-table on the circuit's blocks, at a 1e-10 entrywise tolerance; the
-geometric-sum check scales its tolerance with d to allow for cancellation.
+``IDENTITIES`` maps each report name to two functions of d, the deviation
+at d and the tolerance it must meet; ``verify_identity`` runs one row at one
+d, and ``verify_all`` every row over a range of d.  The five permutation rows
+move basis labels through exact integer tables and must report exactly 0: by
+linearity, a circuit that permutes labels needs no sampled state.  The QFT /
+controlled-phase decompositions are compared with their table on the
+circuit's blocks, at a 1e-10 entrywise tolerance.  The geometric-sum delta
+adds its terms once per m, its tolerance scaled with d for cancellation.
 """
 
 from __future__ import annotations
@@ -47,77 +49,71 @@ class VerificationReport:
         return self.max_dev <= self.tolerance
 
 
-def verify_swap(d: int) -> VerificationReport:
-    """Both three-gate SWAP circuits equal the SWAP permutation exactly."""
-    _check_dim(d)
-    target = swap_ref(d)
-    dev = max(table_dist(swap_circuit(d), target), table_dist(swap_circuit_alt(d), target))
-    return VerificationReport("swap", d, dev, PERM_TOL)
+def _table_dev(target, *circuits) -> float:
+    """The largest ``table_dist`` of the circuits from the table ``target``."""
+    return max(table_dist(c, target) for c in circuits)
 
 
-def verify_decomposition(d: int) -> VerificationReport:
-    """Both QFT/phase decompositions reproduce the negated-sum gate."""
-    _check_dim(d)
-    target = cx_tilde(d)
-    dev = max(
-        table_dist(cx_tilde_decomposition(d), target),
-        table_dist(cx_tilde_decomposition_alt(d), target),
-    )
-    return VerificationReport("decomposition", d, dev, DENSE_TOL)
+def _partial_swap_dev(d: int) -> float:
+    """0.0 if every |phi>|0> comes out as |0>|phi>, that is, each label (x, 0) lands on (0, x)."""
+    x, zero = np.arange(d), np.zeros(d, dtype=np.intp)
+    landed = _follow(partial_swap_circuit(d), np.array([x, zero]))
+    return 0.0 if np.array_equal(landed, [zero, x]) else 1.0
 
 
-def verify_self_inverse(d: int) -> VerificationReport:
-    """The negated-sum gate squared is the identity, exactly."""
-    _check_dim(d)
-    squared = Circuit(d, 2, (GateOp(GateKind.CXTilde, (1, 2), d),) * 2)
-    dev = table_dist(squared, identity_matrix(d * d))
-    return VerificationReport("self_inverse", d, dev, PERM_TOL)
+def _delta_sum_dev(d: int) -> float:
+    """Worst |sum_k e^{i 2pi (x+y+l) k / d} - d delta| over every x, y, l.
 
-
-def verify_delta_sum(d: int) -> VerificationReport:
-    """Geometric sum over d-th roots of unity collapses to d * delta.
-
-    The sum over k of e^{i 2pi (x+y+l) k / d} depends on x, y, l only
-    through the unreduced m = x+y+l in 0..3d-3, so it is evaluated once per
-    m, adding the k terms in order.
+    The sum depends on x, y, l only through the unreduced m = x+y+l in
+    0..3d-3, so it is evaluated once per m, adding the k terms in order.
     """
-    _check_dim(d)
     m = np.arange(3 * d - 2)[:, None]
     k = np.arange(d)
     terms = np.exp(1j * (2.0 * np.pi * m * k / d))
     total = np.cumsum(terms, axis=1)[:, -1]
     expected = np.where(m[:, 0] % d == 0, d, 0)
-    worst = float(np.max(np.abs(total - expected)))
-    return VerificationReport("delta_sum", d, worst, 1e-9 * d)
+    return float(np.max(np.abs(total - expected)))
 
 
-def verify_asymmetric_swap(d: int) -> VerificationReport:
-    """The adder/subtractor/complement reconstruction is a SWAP, exactly."""
+def _exact(d: int) -> float:
+    return PERM_TOL
+
+
+# Report name -> (deviation at d, tolerance at d), in report order.  The rows
+# look their builders up at call time, so a wrapper on the module sees them.
+IDENTITIES = {
+    # both three-gate SWAP circuits equal the SWAP permutation
+    "swap": (lambda d: _table_dev(swap_ref(d), swap_circuit(d), swap_circuit_alt(d)), _exact),
+    # both QFT/phase decompositions reproduce the negated-sum gate
+    "decomposition": (
+        lambda d: _table_dev(cx_tilde(d), cx_tilde_decomposition(d), cx_tilde_decomposition_alt(d)),
+        lambda d: DENSE_TOL,
+    ),
+    # the negated-sum gate squared is the identity
+    "self_inverse": (
+        lambda d: _table_dev(
+            identity_matrix(d * d), Circuit(d, 2, (GateOp(GateKind.CXTilde, (1, 2), d),) * 2)
+        ),
+        _exact,
+    ),
+    # the geometric sum over d-th roots of unity collapses to d * delta
+    "delta_sum": (_delta_sum_dev, lambda d: 1e-9 * d),
+    # the adder/subtractor/complement reconstruction is a SWAP
+    "asymmetric_swap": (lambda d: _table_dev(swap_ref(d), asymmetric_swap_circuit(d)), _exact),
+    "partial_swap": (_partial_swap_dev, _exact),
+    # SWAP transposes the amplitudes of every two-qudit state: by linearity,
+    # exactly when its table is the SWAP table
+    "random_states": (lambda d: _table_dev(swap_ref(d), swap_circuit(d)), _exact),
+}
+
+
+def verify_identity(name: str, d: int) -> VerificationReport:
+    """Check the identity ``name``, a key of ``IDENTITIES``, at dimension d."""
+    if name not in IDENTITIES:
+        raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}")
     _check_dim(d)
-    dev = table_dist(asymmetric_swap_circuit(d), swap_ref(d))
-    return VerificationReport("asymmetric_swap", d, dev, PERM_TOL)
-
-
-def verify_partial_swap(d: int) -> VerificationReport:
-    """Every |phi>|0> comes out as |0>|phi> under the partial swap, exactly.
-
-    By linearity it does exactly when each label (x, 0) lands on (0, x).
-    """
-    _check_dim(d)
-    x, zero = np.arange(d), np.zeros(d, dtype=np.intp)
-    landed = _follow(partial_swap_circuit(d), np.array([x, zero]))
-    dev = 0.0 if np.array_equal(landed, [zero, x]) else 1.0
-    return VerificationReport("partial_swap", d, dev, PERM_TOL)
-
-
-def random_state_check(d: int) -> VerificationReport:
-    """SWAP transposes the amplitudes of every two-qudit state, exactly.
-
-    By linearity it does exactly when its table is the SWAP table.
-    """
-    _check_dim(d)
-    dev = table_dist(swap_circuit(d), swap_ref(d))
-    return VerificationReport("random_states", d, dev, PERM_TOL)
+    deviation, tolerance = IDENTITIES[name]
+    return VerificationReport(name, d, deviation(d), tolerance(d))
 
 
 def check_d_range(d_min: int, d_max: int) -> None:
@@ -130,18 +126,9 @@ def check_d_range(d_min: int, d_max: int) -> None:
 
 
 def verify_all(d_min: int, d_max: int, seed: int = 42) -> list[VerificationReport]:
-    """Run every identity check for each d in [d_min, d_max], in order.
+    """Run every row of ``IDENTITIES`` for each d in [d_min, d_max], in order.
 
     ``seed`` is accepted for callers that pass one, but no check samples.
     """
     check_d_range(d_min, d_max)
-    reports: list[VerificationReport] = []
-    for d in range(d_min, d_max + 1):
-        reports.append(verify_swap(d))
-        reports.append(verify_decomposition(d))
-        reports.append(verify_self_inverse(d))
-        reports.append(verify_delta_sum(d))
-        reports.append(verify_asymmetric_swap(d))
-        reports.append(verify_partial_swap(d))
-        reports.append(random_state_check(d))
-    return reports
+    return [verify_identity(name, d) for d in range(d_min, d_max + 1) for name in IDENTITIES]

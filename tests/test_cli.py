@@ -254,11 +254,14 @@ def test_simulate_oversized_qft_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and "QFT needs d <= 4096" in err
 
 
-def test_verify_rejects_negative_seed(capsys):
-    code, out, err = run(["verify", "--d-min", "2", "--d-max", "2", "--seed", "-1"], capsys)
-    assert code == 2
-    assert out == ""
-    assert "--seed" in err
+def test_verify_seed_option_is_a_usage_error(capsys):
+    # no check samples, so verify takes no --seed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--d-min", "2", "--d-max", "2", "--seed", "7"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--seed" in out.err
 
 
 @pytest.mark.parametrize("label,digit", [("5,0", 5), ("-1,0", -1)], ids=["5,0", "-1,0"])

@@ -17,12 +17,15 @@ from quditswap.circuit import (
     Circuit,
     GateOp,
     _run,
+    asymmetric_swap_circuit,
     circuit_unitary,
     cx_tilde_decomposition,
     cx_tilde_decomposition_alt,
     expand_cx_tilde,
     gate_matrix,
     simulate,
+    swap_circuit,
+    swap_circuit_alt,
     table_dist,
 )
 from quditswap.core import (
@@ -35,13 +38,7 @@ from quditswap.core import (
 )
 from quditswap.dsl import render
 from quditswap.gates import GateKind, cx_tilde, cz_d, qft, swap_ref
-from quditswap.verify import (
-    random_state_check,
-    verify_all,
-    verify_decomposition,
-    verify_delta_sum,
-    verify_partial_swap,
-)
+from quditswap.verify import IDENTITIES, verify_all, verify_identity
 
 KINDS = list(GateKind)
 PERM_KINDS = [k for k in KINDS if oracles.perm_table(k, 2) is not None]
@@ -247,16 +244,16 @@ def test_table_dist_rejects_a_target_that_is_not_a_table_of_its_size():
 
 def test_verify_decomposition_allocates_less_than_a_quarter_of_the_unitary():
     d = 32
-    verify_decomposition(d)  # lazy set-up is not counted
-    _, peak = _peak_bytes(lambda: verify_decomposition(d))
+    verify_identity("decomposition", d)  # lazy set-up is not counted
+    _, peak = _peak_bytes(lambda: verify_identity("decomposition", d))
     assert peak < d**4 * 16 / 4
 
 
 def test_verify_decomposition_allocates_one_work_array():
     # the blocks and one work array of their size, the one abs, and small arrays
     d = 32
-    verify_decomposition(d)
-    _, peak = _peak_bytes(lambda: verify_decomposition(d))
+    verify_identity("decomposition", d)
+    _, peak = _peak_bytes(lambda: verify_identity("decomposition", d))
     assert peak <= 2.5 * d**3 * 16
 
 
@@ -317,7 +314,7 @@ def test_table_algebra_matches_dense(perms):
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_delta_sum_matches_loop(d):
-    assert abs(verify_delta_sum(d).max_dev - oracles.delta_sum_max_dev(d)) <= 1e-15
+    assert abs(verify_identity("delta_sum", d).max_dev - oracles.delta_sum_max_dev(d)) <= 1e-15
 
 
 def test_exact_identities_zero_for_every_d():
@@ -330,32 +327,74 @@ def test_exact_identities_zero_for_every_d():
 
 def test_label_proofs_agree_with_sampled_checks():
     for d in range(2, 65):
-        assert verify_partial_swap(d).max_dev == oracles.sampled_partial_swap(d) == 0.0, d
-        assert random_state_check(d).max_dev == oracles.sampled_random_states(d) == 0.0, d
+        for name, sampled in (("partial_swap", oracles.sampled_partial_swap),
+                              ("random_states", oracles.sampled_random_states)):
+            assert verify_identity(name, d).max_dev == sampled(d) == 0.0, (name, d)
 
 
-def _exchanged(build):
-    """``build`` with the table entries of source labels (1, 0) and (1, 1) exchanged."""
+def _one_exchange(build):
+    """``build`` with one exchange: rows 0 and 1 of a dense gate, entries 0 and 1
+    of a one-qudit table, the entries of labels (1, 0) and (1, 1) of a two-qudit
+    table or phase vector."""
     def mutant(d):
-        perm = build(d).perm.copy()
-        perm[[d, d + 1]] = perm[[d + 1, d]]
-        return GateMatrix(perm=perm)
+        g = build(d)
+        if g.matrix is not None:
+            return GateMatrix(g.matrix[[1, 0, *range(2, d)]])
+        held = (g.perm if g.perm is not None else g.phases).copy()
+        i, j = (0, 1) if held.size == d else (d, d + 1)
+        held[[i, j]] = held[[j, i]]
+        return GateMatrix(perm=held) if g.perm is not None else GateMatrix(phases=held)
     return mutant
 
 
 # the mutant is the table of each circuit's first op, which reads (1, 0) for
 # label (1, 0) of the partial swap and for label (0, 1) of SWAP
-@pytest.mark.parametrize("check,sampled,kind", [
-    (verify_partial_swap, oracles.sampled_partial_swap, GateKind.CXd),
-    (random_state_check, oracles.sampled_random_states, GateKind.CXTilde),
+@pytest.mark.parametrize("name,sampled,kind", [
+    ("partial_swap", oracles.sampled_partial_swap, GateKind.CXd),
+    ("random_states", oracles.sampled_random_states, GateKind.CXTilde),
 ], ids=["partial_swap", "random_states"])
 @pytest.mark.parametrize("d", [2, 3, 7, 64])
 def test_label_proofs_and_sampled_checks_fail_on_one_exchanged_entry(
-        monkeypatch, check, sampled, kind, d):
-    monkeypatch.setitem(circuit._BUILDERS, kind, _exchanged(circuit._BUILDERS[kind]))
-    r = check(d)
+        monkeypatch, name, sampled, kind, d):
+    monkeypatch.setitem(circuit._BUILDERS, kind, _one_exchange(circuit._BUILDERS[kind]))
+    r = verify_identity(name, d)
     assert r.max_dev == 1.0 and not r.passed
     assert sampled(d) > 0.0
+
+
+# each table row's circuits and target, compared densely by the slow oracle
+_DENSE_ROWS = {
+    "swap": (lambda d: (swap_circuit(d), swap_circuit_alt(d)), swap_ref),
+    "decomposition": (
+        lambda d: (cx_tilde_decomposition(d), cx_tilde_decomposition_alt(d)), cx_tilde),
+    "self_inverse": (
+        lambda d: (Circuit(d, 2, _ops(d, (GateKind.CXTilde, (1, 2)), (GateKind.CXTilde, (1, 2)))),),
+        lambda d: identity_matrix(d * d)),
+    "asymmetric_swap": (lambda d: (asymmetric_swap_circuit(d),), swap_ref),
+    "random_states": (lambda d: (swap_circuit(d),), swap_ref),
+}
+
+
+def _oracle_dev(name, d):
+    if name == "partial_swap":
+        return oracles.sampled_partial_swap(d)
+    if name == "delta_sum":
+        return oracles.delta_sum_max_dev(d)
+    circuits, target = _DENSE_ROWS[name]
+    return max(max_entry_dist(circuit_unitary(c), target(d)) for c in circuits(d))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_every_row_fails_exactly_when_the_slow_oracle_does(monkeypatch, kind, d):
+    monkeypatch.setitem(circuit._BUILDERS, kind, _one_exchange(circuit._BUILDERS[kind]))
+    failed = []
+    for name in IDENTITIES:
+        r = verify_identity(name, d)
+        assert r.passed == (_oracle_dev(name, d) <= r.tolerance), (name, r.max_dev)
+        failed += [] if r.passed else [name]
+    # every kind that some row's circuits use is caught by one row at least
+    assert bool(failed) == (kind not in (GateKind.SWAP, GateKind.Identity))
 
 
 def _cli_out(argv):

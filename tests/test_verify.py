@@ -3,37 +3,60 @@ import pytest
 
 from quditswap.core import DimensionError, StateVector
 from quditswap.circuit import simulate, swap_circuit
-from quditswap.verify import (
-    random_state_check,
-    verify_all,
-    verify_asymmetric_swap,
-    verify_decomposition,
-    verify_delta_sum,
-    verify_partial_swap,
-    verify_self_inverse,
-    verify_swap,
-)
+from quditswap.verify import IDENTITIES, verify_all, verify_identity
 
 
 def test_verify_swap():
-    r = verify_swap(2)
+    r = verify_identity("swap", 2)
     assert r.passed and r.max_dev == 0
-    r = verify_swap(7)
+    r = verify_identity("swap", 7)
     assert r.passed and r.max_dev == 0
     with pytest.raises(DimensionError):
-        verify_swap(1)
+        verify_identity("swap", 1)
+
+
+@pytest.mark.parametrize("name", list(IDENTITIES))
+def test_verify_identity_rejects_a_dimension_below_2(name):
+    for d in (1, 0, -3):
+        with pytest.raises(DimensionError):
+            verify_identity(name, d)
+
+
+def test_verify_identity_rejects_an_unknown_name_and_lists_the_known_ones():
+    with pytest.raises(ValueError, match="unknown identity 'cnot'") as exc:
+        verify_identity("cnot", 3)
+    assert str(exc.value).endswith("known: " + ", ".join(IDENTITIES))
+
+
+def test_identities_run_in_report_order():
+    names = ["swap", "decomposition", "self_inverse", "delta_sum",
+             "asymmetric_swap", "partial_swap", "random_states"]
+    assert list(IDENTITIES) == names
+    assert [r.identity_name for r in verify_all(3, 4)] == names * 2
+
+
+def test_public_names_resolve():
+    import types
+
+    import quditswap
+
+    for name in quditswap.__all__:
+        assert getattr(quditswap, name, None) is not None, name
+    assert len(set(quditswap.__all__)) == len(quditswap.__all__)
+    assert isinstance(quditswap.verify, types.ModuleType)
+    assert quditswap.verify_identity is quditswap.verify.verify_identity
 
 
 def test_verify_decomposition_sweep():
     for d in range(2, 33):
-        r = verify_decomposition(d)
+        r = verify_identity("decomposition", d)
         assert r.passed, (d, r.max_dev)
         assert r.max_dev <= 1e-10
 
 
 def test_verify_self_inverse():
     for d in range(2, 33):
-        assert verify_self_inverse(d).max_dev == 0
+        assert verify_identity("self_inverse", d).max_dev == 0
 
 
 def test_self_inverse_implies_self_adjoint():
@@ -66,19 +89,19 @@ def test_delta_sum_values():
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
 def test_verify_delta_sum(d):
-    r = verify_delta_sum(d)
+    r = verify_identity("delta_sum", d)
     assert r.passed
     assert r.tolerance == 1e-9 * d
 
 
 def test_verify_asymmetric_and_partial():
     for d in (2, 3, 5):
-        assert verify_asymmetric_swap(d).max_dev == 0
-        assert verify_partial_swap(d).passed
+        assert verify_identity("asymmetric_swap", d).max_dev == 0
+        assert verify_identity("partial_swap", d).passed
 
 
 def test_random_state_check():
-    r = random_state_check(3)
+    r = verify_identity("random_states", 3)
     assert r.passed and r.max_dev <= 1e-10
 
 
