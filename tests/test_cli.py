@@ -1,9 +1,11 @@
+import argparse
 import json
 import time
 
 import numpy as np
 import pytest
 
+from quditswap import cli
 from quditswap.cli import main
 
 SWAP_QC = "dim 3\nwires 2\nCXT 2 1\nCXT 1 2\nCXT 2 1\n"
@@ -304,3 +306,47 @@ def test_simulate_non_utf8_circuit_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "utf-8" in err
+
+
+def test_simulate_non_utf8_state_is_usage_error(tmp_path, capsys):
+    qc, state = tmp_path / "id.qc", tmp_path / "bad.txt"
+    qc.write_text("dim 2\nwires 1\nID 1\n")
+    state.write_bytes(b"1 0\n\xff 0\n")
+    code, out, err = run(["simulate", "--circuit", str(qc), "--state", str(state)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "utf-8" in err
+
+
+def test_parser_is_built_once_and_keeps_no_flag(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    qc, state = tmp_path / "swap.qc", tmp_path / "state.txt"
+    qc.write_text(SWAP_QC)
+    state.write_text("".join("0 0\n" if i != 5 else "1 0\n" for i in range(9)))
+    sim = ["simulate", "--circuit", str(qc), "--state", str(state)]
+
+    code, out, _ = run([*sim, "--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"amplitudes": [{"index": 7, "re": 1.0, "im": 0.0}]}
+    first = len(built)
+    assert first > 0
+
+    code, out, _ = run(sim, capsys)
+    assert (code, out) == (0, "7 1 0\n")  # text: --json did not carry over
+
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--circuit", str(qc), "--bogus"])
+    assert exc.value.code == 2
+    code, out, err = run([*sim, "--input", "0,0"], capsys)
+    assert (code, out) == (2, "")
+    assert "exactly one of --input / --state" in err
+    assert len(built) == first
+    cli.build_parser.cache_clear()

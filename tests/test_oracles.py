@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +509,9 @@ def test_simulate_io_matches_oracle_on_random_states(seed, shape, scale):
     "1 0\n",  # too few amplitudes
     "1 0\n0 0 0\n",
     "1 0\n,\n",
+    "1 0\n,\n0 0\n",  # the count is right, but a line of commas alone is no pair
+    "1 0\n , ,# c\n0 0\n",
+    ",\n1 0\n0 0\n",
     "1 0\nabc 0\n",
     "x 0\n1 2 3\n",  # the bad number comes first
 ])
@@ -517,3 +523,96 @@ def test_load_state_errors_match_oracle(tmp_path, text):
     with pytest.raises(ValueError) as got:
         cli._load_state(str(f), 2, 1)
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text", ["", "# a comment\n\n  # another\n"])
+def test_simulate_state_without_data_is_usage_error(tmp_path, capsys, text):
+    state, qc = tmp_path / "state.txt", tmp_path / "id.qc"
+    state.write_text(text, encoding="utf-8")
+    qc.write_text("dim 2\nwires 1\nID 1\n", encoding="utf-8")
+    with pytest.raises(ValueError) as want:
+        oracles.load_state(state, 2, 1)
+    assert "expected 2 amplitudes, got (0,)" in str(want.value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["simulate", "--circuit", str(qc), "--state", str(state)])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"error: {want.value}\n")
+    assert caught == []
+
+
+def _load_outcome(load, path, d, n):
+    """Float64 bits of the loaded amplitudes, or the exception's type and message."""
+    try:
+        return load(path, d, n).amps.view(np.uint64).tolist()
+    except Exception as exc:  # the outcome is compared, not handled
+        return type(exc), str(exc)
+
+
+_SEPARATORS = [" ", "\t", ",", "\x0b", "\x0c", "\x1c", "\x85", "\xa0"]
+_STATE_ALPHABET = [*"0123456789+-.eE_,# ", *_SEPARATORS[1:], "nan", "inf", "\n", "\r\n"]
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-99, 99).map(str))
+_number = st.one_of(
+    _finite,
+    st.lists(st.sampled_from([*"0123456789+-.eE_", "nan", "inf"]), min_size=1, max_size=6).map("".join),
+)
+_sep = st.lists(st.sampled_from(_SEPARATORS), max_size=3).map("".join)
+
+
+def _pair_line(number):
+    return st.tuples(
+        _sep, number, _sep.filter(bool), number, _sep, st.sampled_from(["", "#", "# 1 2"]),
+    ).map("".join)
+
+
+_noise_line = st.lists(st.sampled_from(_STATE_ALPHABET), max_size=12).map("".join)
+
+
+def _lines(line, ends):
+    return st.lists(st.tuples(line, st.sampled_from(ends)), max_size=8).map(
+        lambda lines: "".join(a + b for a, b in lines))
+
+
+_state_text = st.one_of(
+    _lines(_pair_line(_finite), ["\n", "\r\n", "\r"]),
+    _lines(st.one_of(_pair_line(_number), _noise_line), ["\n", "\r\n", "\r", ""]),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_state_text)
+@example("1 0\n2 0\n")
+@example("1_0 0\n2,0\n")
+@example("1 0\r\n\xa0-0\x1c.5e1 # c\n")
+@example("1 0\n,\n0 0\n")
+@example("1 0\n0 0 0\n")
+def test_load_state_matches_oracle_on_drawn_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "state.txt"
+        f.write_bytes(text.encode("utf-8"))
+        want = _load_outcome(oracles.load_state, f, 2, 1)
+        assert _load_outcome(cli._load_state, str(f), 2, 1) == want
+        count = re.fullmatch(r"expected 2 amplitudes, got \((\d+),\)", str(want[-1]))
+        if count and int(count[1]) >= 2:  # compare the values, on a register that holds them
+            d = int(count[1])
+            assert _load_outcome(cli._load_state, str(f), d, 1) == _load_outcome(
+                oracles.load_state, f, d, 1)
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli._ROWS_PER_WRITE - 1, cli._ROWS_PER_WRITE,
+                                  cli._ROWS_PER_WRITE + 1])
+def test_simulate_text_output_is_batched_byte_for_byte(tmp_path, capsys, rows):
+    n = (cli._ROWS_PER_WRITE + 1).bit_length()
+    amps = _random_amps(rows, 2**n)
+    amps[rows:] *= 1e-13  # below AMP_EPSILON: not printed
+    state, qc = tmp_path / "state.txt", tmp_path / "id.qc"
+    _state_file(state, amps)
+    qc.write_text(f"dim 2\nwires {n}\nID 1\n", encoding="utf-8")
+    want = oracles.format_amplitudes(oracles.load_state(state, 2, n).amps, as_json=False)
+    assert want.count("\n") == rows
+    assert cli.main(["simulate", "--circuit", str(qc), "--state", str(state)]) == 0
+    got = capsys.readouterr().out
+    # where the texts part, not a diff: diffing megabytes of text takes minutes
+    same = len(os.path.commonprefix([got, want]))
+    assert (same, len(got)) == (len(want), len(want))
