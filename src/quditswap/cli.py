@@ -179,12 +179,11 @@ def cmd_simulate(args) -> int:
         entries = [{"index": i, "re": x, "im": y} for i, x, y in rows]
         print(json.dumps({"amplitudes": entries}))
         return 0
-    flat = [None] * (3 * idx.size)
-    flat[0::3], flat[1::3], flat[2::3] = idx.tolist(), kept.real.tolist(), kept.imag.tolist()
-    step = 3 * _ROWS_PER_WRITE
-    for lo in range(0, len(flat), step):
-        batch = flat[lo:lo + step]
-        sys.stdout.write("%d %.17g %.17g\n" * (len(batch) // 3) % tuple(batch))
+    for lo in range(0, idx.size, _ROWS_PER_WRITE):  # Python objects for one batch at a time
+        i, amp = idx[lo:lo + _ROWS_PER_WRITE], kept[lo:lo + _ROWS_PER_WRITE]
+        flat = [None] * (3 * i.size)
+        flat[0::3], flat[1::3], flat[2::3] = i.tolist(), amp.real.tolist(), amp.imag.tolist()
+        sys.stdout.write("%d %.17g %.17g\n" * i.size % tuple(flat))
     return 0
 
 
