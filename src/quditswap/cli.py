@@ -176,7 +176,7 @@ def cmd_simulate(args) -> int:
     kept = out.amps[idx]
     if args.json:
         rows = zip(idx.tolist(), kept.real.tolist(), kept.imag.tolist())
-        entries = [{"index": i, "re": x, "im": y} for i, x, y in rows]
+        entries = [{"index": i, "re": re, "im": im} for i, re, im in rows]
         print(json.dumps({"amplitudes": entries}))
         return 0
     for lo in range(0, idx.size, _ROWS_PER_WRITE):  # Python objects for one batch at a time
