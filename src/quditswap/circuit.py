@@ -59,14 +59,12 @@ def gate_matrix(kind: GateKind, d: int) -> GateMatrix:
 
 @dataclass(frozen=True)
 class GateOp:
-    """A named gate on specific wires; control first for two-qudit gates."""
+    """A named gate on specific wires, control first; its circuit gives it d."""
 
     kind: GateKind
     wires: tuple[int, ...]
-    d: int
 
     def __post_init__(self):
-        _check_dim(self.d)
         wires = tuple(int(w) for w in self.wires)
         object.__setattr__(self, "wires", wires)
         if len(wires) != self.kind.arity:
@@ -94,15 +92,14 @@ class Circuit:
         ops = tuple(self.ops)
         object.__setattr__(self, "ops", ops)
         for op in ops:
-            if op.d != self.d:
-                raise DimensionError(f"op dimension {op.d} != circuit dimension {self.d}")
             if any(w > self.n for w in op.wires):
                 raise ValueError(f"wire out of range in {op.wires} for n={self.n}")
 
     @cached_property
     def gates(self) -> tuple[GateMatrix, ...]:
-        """The built gate of each op, in op order; built once per circuit."""
-        return tuple(gate_matrix(op.kind, self.d) for op in self.ops)
+        """The built gate of each op, in op order; each gate kind built once per circuit."""
+        built = {k: gate_matrix(k, self.d) for k in dict.fromkeys(op.kind for op in self.ops)}
+        return tuple(built[op.kind] for op in self.ops)
 
 
 def _check_budget(d: int, n: int, budget: int = MAX_STATE_SIZE) -> None:
@@ -129,14 +126,14 @@ def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
         if g.phases is not None:
             # taken in memory order, the multiply buffers only the phases
             order = np.argsort(front.strides)[::-1]
-            ph = g.phases.reshape((op.d,) * k + (1,) * (t.ndim - k)).transpose(order)
+            ph = g.phases.reshape((c.d,) * k + (1,) * (t.ndim - k)).transpose(order)
             np.multiply(ph, front.transpose(order), out=front.transpose(order))
             continue
         if front.flags.c_contiguous:  # the rows are in order already: write to the other
             a, work = work, a
         else:
             np.copyto(work.reshape(front.shape), front)
-        rows, out = work.reshape(op.d**k, -1), a.reshape(op.d**k, -1)
+        rows, out = work.reshape(c.d**k, -1), a.reshape(c.d**k, -1)
         if g.perm is not None:
             out[g.perm] = rows
         else:
@@ -160,8 +157,8 @@ def _follow(c: Circuit, digits: np.ndarray) -> np.ndarray:
     return digits
 
 
-def _changed_wires(op: GateOp, g: GateMatrix) -> set[int]:
-    """Wires of ``op`` whose digit ``g`` may change, read from the built gate.
+def _changed_wires(c: Circuit, op: GateOp, g: GateMatrix) -> set[int]:
+    """Wires of ``op`` in ``c`` whose digit ``g`` may change, read from the built gate.
 
     Phases change no digit; a table changes a digit some label maps out of;
     a dense gate changes a digit with a nonzero entry between labels that
@@ -169,7 +166,7 @@ def _changed_wires(op: GateOp, g: GateMatrix) -> set[int]:
     """
     if g.phases is not None:
         return set()
-    digits = np.unravel_index(np.arange(g.dim), (op.d,) * len(op.wires))
+    digits = np.unravel_index(np.arange(g.dim), (c.d,) * len(op.wires))
     if g.perm is not None:
         return {w for w, x in zip(op.wires, digits) if np.any(x[g.perm] != x)}
     return {w for w, x in zip(op.wires, digits)
@@ -196,7 +193,7 @@ def _blocks(c: Circuit) -> tuple[np.ndarray, list[int], list[int]]:
     entry off 0: a row label, then the free digits of a column in its block.
     """
     d, n = c.d, c.n
-    changed = set().union(*(_changed_wires(op, g) for op, g in zip(c.ops, c.gates)))
+    changed = set().union(*(_changed_wires(c, op, g) for op, g in zip(c.ops, c.gates)))
     free = [w for w in range(n) if w + 1 in changed]
     kept = [w for w in range(n) if w + 1 not in changed]
     _check_budget(d, n + len(free))
@@ -262,36 +259,36 @@ def simulate(c: Circuit, s: StateVector) -> StateVector:
 def swap_circuit(d: int) -> Circuit:
     """Three negated-sum gates alternating control wires; a full qudit SWAP."""
     return Circuit(d, 2, (
-        GateOp(GateKind.CXTilde, (2, 1), d),
-        GateOp(GateKind.CXTilde, (1, 2), d),
-        GateOp(GateKind.CXTilde, (2, 1), d),
+        GateOp(GateKind.CXTilde, (2, 1)),
+        GateOp(GateKind.CXTilde, (1, 2)),
+        GateOp(GateKind.CXTilde, (2, 1)),
     ))
 
 
 def swap_circuit_alt(d: int) -> Circuit:
     """Upside-down variant of :func:`swap_circuit`; also a full SWAP."""
     return Circuit(d, 2, (
-        GateOp(GateKind.CXTilde, (1, 2), d),
-        GateOp(GateKind.CXTilde, (2, 1), d),
-        GateOp(GateKind.CXTilde, (1, 2), d),
+        GateOp(GateKind.CXTilde, (1, 2)),
+        GateOp(GateKind.CXTilde, (2, 1)),
+        GateOp(GateKind.CXTilde, (1, 2)),
     ))
 
 
 def cx_tilde_decomposition(d: int) -> Circuit:
     """QFT on the target, controlled phase, QFT on the target again."""
     return Circuit(d, 2, (
-        GateOp(GateKind.QFT, (2,), d),
-        GateOp(GateKind.CZd, (1, 2), d),
-        GateOp(GateKind.QFT, (2,), d),
+        GateOp(GateKind.QFT, (2,)),
+        GateOp(GateKind.CZd, (1, 2)),
+        GateOp(GateKind.QFT, (2,)),
     ))
 
 
 def cx_tilde_decomposition_alt(d: int) -> Circuit:
     """Adjoint decomposition (IQFT, inverse phase, IQFT); equal by involution."""
     return Circuit(d, 2, (
-        GateOp(GateKind.IQFT, (2,), d),
-        GateOp(GateKind.CZdDag, (1, 2), d),
-        GateOp(GateKind.IQFT, (2,), d),
+        GateOp(GateKind.IQFT, (2,)),
+        GateOp(GateKind.CZdDag, (1, 2)),
+        GateOp(GateKind.IQFT, (2,)),
     ))
 
 
@@ -303,18 +300,18 @@ def asymmetric_swap_circuit(d: int) -> Circuit:
     permutation in the verification suite.
     """
     return Circuit(d, 2, (
-        GateOp(GateKind.CXd, (1, 2), d),
-        GateOp(GateKind.CXdDag, (2, 1), d),
-        GateOp(GateKind.CXd, (1, 2), d),
-        GateOp(GateKind.Xd, (1,), d),
+        GateOp(GateKind.CXd, (1, 2)),
+        GateOp(GateKind.CXdDag, (2, 1)),
+        GateOp(GateKind.CXd, (1, 2)),
+        GateOp(GateKind.Xd, (1,)),
     ))
 
 
 def partial_swap_circuit(d: int) -> Circuit:
     """Maps |phi>|0> to |0>|phi> for any phi; not a full SWAP."""
     return Circuit(d, 2, (
-        GateOp(GateKind.CXd, (1, 2), d),
-        GateOp(GateKind.CXdDag, (2, 1), d),
+        GateOp(GateKind.CXd, (1, 2)),
+        GateOp(GateKind.CXdDag, (2, 1)),
     ))
 
 
@@ -324,9 +321,9 @@ def expand_cx_tilde(c: Circuit) -> Circuit:
     for op in c.ops:
         if op.kind is GateKind.CXTilde:
             control, target = op.wires
-            ops.append(GateOp(GateKind.QFT, (target,), c.d))
-            ops.append(GateOp(GateKind.CZd, (control, target), c.d))
-            ops.append(GateOp(GateKind.QFT, (target,), c.d))
+            ops.append(GateOp(GateKind.QFT, (target,)))
+            ops.append(GateOp(GateKind.CZd, (control, target)))
+            ops.append(GateOp(GateKind.QFT, (target,)))
         else:
             ops.append(op)
     return Circuit(c.d, c.n, tuple(ops))

@@ -103,13 +103,10 @@ def parse(text: str) -> Circuit:
             if not 1 <= w <= n:
                 raise ParseError(lineno, wcol, f"wire out of range 1..{n}", tok)
             wires.append(w)
-        if len(wires) != kind.arity:
-            raise ParseError(
-                lineno, col, f"{head} takes {kind.arity} wire(s), got {len(wires)}", head
-            )
-        if len(set(wires)) != len(wires):
-            raise ParseError(lineno, col, "duplicate wire indices", head)
-        ops.append(GateOp(kind, tuple(wires), d))
+        try:
+            ops.append(GateOp(kind, tuple(wires)))
+        except ValueError as exc:  # the op's own arity and repeated-wire checks
+            raise ParseError(lineno, col, str(exc), head) from None
 
     if d is None:
         raise ParseError(max(len(lines), 1), 1, "missing 'dim' header")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_dim, identity_matrix
+from .core import DimensionError, identity_matrix
 from .circuit import (
     Circuit,
     GateOp,
@@ -92,7 +92,7 @@ IDENTITIES = {
     # the negated-sum gate squared is the identity
     "self_inverse": (
         lambda d: _table_dev(
-            identity_matrix(d * d), Circuit(d, 2, (GateOp(GateKind.CXTilde, (1, 2), d),) * 2)
+            identity_matrix(d * d), Circuit(d, 2, (GateOp(GateKind.CXTilde, (1, 2)),) * 2)
         ),
         _exact,
     ),
@@ -111,18 +111,18 @@ def verify_identity(name: str, d: int) -> VerificationReport:
     """Check the identity ``name``, a key of ``IDENTITIES``, at dimension d."""
     if name not in IDENTITIES:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}")
-    _check_dim(d)
+    check_d_range(d, d)  # before any table is built
     deviation, tolerance = IDENTITIES[name]
     return VerificationReport(name, d, deviation(d), tolerance(d))
 
 
 def check_d_range(d_min: int, d_max: int) -> None:
-    """Raise ValueError unless 2 <= d_min <= d_max <= 64, the range the suite covers."""
+    """Raise DimensionError unless 2 <= d_min <= d_max <= 64, the range the suite covers."""
     for d in (d_min, d_max):
         if not 2 <= d <= 64:
-            raise ValueError(f"d must be in 2..64, got {d}")
+            raise DimensionError(f"d must be in 2..64, got {d}")
     if d_min > d_max:
-        raise ValueError(f"empty d range {d_min}..{d_max}")
+        raise DimensionError(f"empty d range {d_min}..{d_max}")
 
 
 def verify_all(d_min: int, d_max: int, seed: int = 42) -> list[VerificationReport]:

@@ -86,9 +86,8 @@ def matmul(a: GateMatrix, b: GateMatrix) -> GateMatrix:
     return GateMatrix(a.entries @ b.entries)
 
 
-def embedded_perm(op, n: int, gate_perm) -> list[int]:
+def embedded_perm(op, d: int, n: int, gate_perm) -> list[int]:
     """Full-register permutation table of a permutation gate on given wires."""
-    d = op.d
     wire_pos = [w - 1 for w in op.wires]
     perm = [0] * d**n
     for j in range(d**n):
@@ -107,16 +106,15 @@ def embedded_perm(op, n: int, gate_perm) -> list[int]:
     return perm
 
 
-def embed(op, n: int) -> np.ndarray:
-    """Dense d^n x d^n matrix of a gate on its wires of an n-wire register.
+def embed(op, d: int, n: int) -> np.ndarray:
+    """Dense d^n x d^n matrix of a gate on its wires of an n-wire register of dimension d.
 
     Permutation gates go through :func:`embedded_perm`; other gates are
     contracted against the identity on their own wire axes.
     """
-    d = op.d
     perm = perm_table(op.kind, d)
     if perm is not None:
-        return permutation_matrix(embedded_perm(op, n, perm))
+        return permutation_matrix(embedded_perm(op, d, n, perm))
     k = len(op.wires)
     wire_pos = [w - 1 for w in op.wires]
     size = d**n
@@ -131,14 +129,14 @@ def unitary(c) -> np.ndarray:
     """Product of the dense embeddings, first op as the rightmost factor."""
     u = np.eye(c.d**c.n, dtype=np.complex128)
     for op in c.ops:
-        u = embed(op, c.n) @ u
+        u = embed(op, c.d, c.n) @ u
     return u
 
 
 def simulate(c, amps: np.ndarray) -> np.ndarray:
     """Embed each op as a dense matrix and apply it to the amplitudes."""
     for op in c.ops:
-        amps = embed(op, c.n) @ amps
+        amps = embed(op, c.d, c.n) @ amps
     return amps
 
 

@@ -88,7 +88,7 @@ def test_criterion_05_self_inverse():
     worst_perm = 0.0
     worst_dense = 0.0
     for d in range(2, 33):
-        perm_sq = circuit_unitary(Circuit(d, 2, (GateOp(GateKind.CXTilde, (1, 2), d),) * 2))
+        perm_sq = circuit_unitary(Circuit(d, 2, (GateOp(GateKind.CXTilde, (1, 2)),) * 2))
         worst_perm = max(worst_perm, max_entry_dist(perm_sq, identity_matrix(d * d)))
         ops = cx_tilde_decomposition(d).ops
         dense_sq = circuit_unitary(Circuit(d, 2, ops + ops))
@@ -209,7 +209,7 @@ def test_criterion_11_dsl_round_trip():
         for _ in range(rng.randint(0, 10)):
             kind = rng.choice(kinds)
             wires = tuple(rng.sample(range(1, n + 1), kind.arity))
-            ops.append(GateOp(kind, wires, d))
+            ops.append(GateOp(kind, wires))
         c = Circuit(d, n, tuple(ops))
         if parse(render(c)) != c:
             ok = False

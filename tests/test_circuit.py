@@ -13,6 +13,7 @@ from quditswap.circuit import (
     simulate,
     swap_circuit,
     swap_circuit_alt,
+    table_dist,
 )
 from quditswap.core import (
     DimensionError,
@@ -23,6 +24,7 @@ from quditswap.core import (
     max_entry_dist,
 )
 from quditswap.gates import GateKind, cx_tilde, swap_ref
+from quditswap.verify import verify_all, verify_identity
 
 from oracles import apply, kron, matmul
 
@@ -69,39 +71,37 @@ def random_states(d, n, count, seed=11):
 
 def test_gateop_validation():
     with pytest.raises(ValueError):
-        GateOp(GateKind.CXTilde, (1,), 3)
+        GateOp(GateKind.CXTilde, (1,))
     with pytest.raises(ValueError):
-        GateOp(GateKind.CXTilde, (2, 2), 3)
+        GateOp(GateKind.CXTilde, (2, 2))
     with pytest.raises(ValueError):
-        GateOp(GateKind.QFT, (0,), 3)
+        GateOp(GateKind.QFT, (0,))
 
 
 def test_circuit_validation():
-    op = GateOp(GateKind.QFT, (3,), 3)
+    op = GateOp(GateKind.QFT, (3,))
     with pytest.raises(ValueError):
         Circuit(3, 2, (op,))
-    with pytest.raises(DimensionError):
-        Circuit(4, 2, (GateOp(GateKind.QFT, (1,), 3),))
 
 
-def embed(op, n):
-    """A gate lifted onto its wires of an n-wire register: a one-op circuit."""
-    return circuit_unitary(Circuit(op.d, n, (op,)))
+def embed(op, d, n):
+    """A gate lifted onto its wires of an n-wire register of dimension d: a one-op circuit."""
+    return circuit_unitary(Circuit(d, n, (op,)))
 
 
 def test_embed_canonical_placement():
-    m = embed(GateOp(GateKind.CXTilde, (1, 2), 2), 2)
+    m = embed(GateOp(GateKind.CXTilde, (1, 2)), 2, 2)
     assert max_entry_dist(m, cx_tilde(2)) == 0
 
 
 def test_embed_reversed_control():
-    m = embed(GateOp(GateKind.CXTilde, (2, 1), 3), 2)
+    m = embed(GateOp(GateKind.CXTilde, (2, 1)), 3, 2)
     out = apply(m, basis_state((1, 2), 3))
     assert np.array_equal(out.amps, basis_state((0, 2), 3).amps)
 
 
 def test_embed_single_wire():
-    m = embed(GateOp(GateKind.Xd, (1,), 3), 2)
+    m = embed(GateOp(GateKind.Xd, (1,)), 3, 2)
     out = apply(m, basis_state((1, 2), 3))
     assert np.array_equal(out.amps, basis_state((2, 2), 3).amps)
 
@@ -111,20 +111,20 @@ def test_embed_dense_gate_on_either_wire():
     from quditswap.gates import qft
 
     d = 3
-    top = embed(GateOp(GateKind.QFT, (1,), d), 2)
-    bottom = embed(GateOp(GateKind.QFT, (2,), d), 2)
+    top = embed(GateOp(GateKind.QFT, (1,)), d, 2)
+    bottom = embed(GateOp(GateKind.QFT, (2,)), d, 2)
     assert max_entry_dist(top, kron(qft(d), identity_matrix(d))) <= 1e-15
     assert max_entry_dist(bottom, kron(identity_matrix(d), qft(d))) <= 1e-15
 
 
 def test_embed_budget():
     with pytest.raises(DimensionError):
-        embed(GateOp(GateKind.QFT, (1,), 2), 13)
+        embed(GateOp(GateKind.QFT, (1,)), 2, 13)
 
 
 def test_simulate_register_wider_than_unitary_budget():
     d, n = 2, 13
-    c = Circuit(d, n, (GateOp(GateKind.Xd, (1,), d), GateOp(GateKind.CXd, (1, 2), d)))
+    c = Circuit(d, n, (GateOp(GateKind.Xd, (1,)), GateOp(GateKind.CXd, (1, 2))))
     with pytest.raises(DimensionError):
         circuit_unitary(c)
     out = simulate(c, basis_state((1,) + (0,) * (n - 1), d))
@@ -133,19 +133,19 @@ def test_simulate_register_wider_than_unitary_budget():
 
 def test_circuit_unitary_empty_and_single():
     assert max_entry_dist(circuit_unitary(Circuit(3, 2)), identity_matrix(9)) == 0
-    op = GateOp(GateKind.CXd, (1, 2), 3)
+    op = GateOp(GateKind.CXd, (1, 2))
     c = Circuit(3, 2, (op,))
-    assert max_entry_dist(circuit_unitary(c), embed(op, 2)) == 0
+    assert max_entry_dist(circuit_unitary(c), embed(op, 3, 2)) == 0
 
 
 def test_circuit_unitary_order():
     # QFT then CZ: first op must be the rightmost factor
     c = Circuit(3, 2, (
-        GateOp(GateKind.QFT, (2,), 3),
-        GateOp(GateKind.CZd, (1, 2), 3),
+        GateOp(GateKind.QFT, (2,)),
+        GateOp(GateKind.CZd, (1, 2)),
     ))
-    cz = embed(GateOp(GateKind.CZd, (1, 2), 3), 2)
-    qft_embedded = embed(GateOp(GateKind.QFT, (2,), 3), 2)
+    cz = embed(GateOp(GateKind.CZd, (1, 2)), 3, 2)
+    qft_embedded = embed(GateOp(GateKind.QFT, (2,)), 3, 2)
     # the phases scale the rows of the QFT, as the kernel does, so the
     # product is formed without a BLAS rounding and must agree exactly
     want = GateMatrix(cz.phases[:, None] * qft_embedded.entries)
@@ -326,21 +326,38 @@ def build_count(monkeypatch):
     return calls
 
 
-def test_circuit_unitary_builds_each_gate_once(build_count):
+def test_circuit_unitary_builds_each_gate_kind_once(build_count):
     circuit_unitary(cx_tilde_decomposition(5))
-    assert len(build_count) == 3
+    assert build_count == [GateKind.QFT, GateKind.CZd]
 
 
-def test_simulate_builds_each_gate_once(build_count):
+def test_simulate_builds_each_gate_kind_once(build_count):
     c = expand_cx_tilde(swap_circuit(3))
     simulate(c, basis_state((1, 2), 3))
-    assert len(build_count) == len(c.ops) == 9
+    assert len(c.ops) == 9
+    assert build_count == [GateKind.QFT, GateKind.CZd]
 
 
-def test_cli_simulate_builds_each_gate_once(build_count, tmp_path, capsys):
+def test_cli_simulate_builds_each_gate_kind_once(build_count, tmp_path, capsys):
     from quditswap.cli import main
 
     f = tmp_path / "decomp.qc"
     f.write_text("dim 4\nwires 2\nQFT 2\nCZ 1 2\nQFT 2\nCXT 2 1\n")
     assert main(["simulate", "--circuit", str(f), "--input", "1,1"]) == 0
-    assert len(build_count) == 4
+    assert build_count == [GateKind.QFT, GateKind.CZd, GateKind.CXTilde]
+
+
+def test_verify_all_builds_each_gate_kind_once_per_circuit(build_count):
+    # swap 2 + 2, decomposition 2 + 2, self_inverse 1, asymmetric_swap 3,
+    # partial_swap 2, random_states 1; delta_sum builds no gate
+    verify_all(32, 32)
+    assert len(build_count) == 13
+
+
+def test_ops_carry_no_dimension_and_serve_every_d():
+    ops = swap_circuit(3).ops
+    for d in range(2, 9):
+        assert Circuit(d, 2, ops) == swap_circuit(d)
+        assert table_dist(Circuit(d, 2, ops), swap_ref(d)) == 0
+        assert verify_identity("swap", d).passed
+    assert Circuit(3, 2, ops) != Circuit(4, 2, ops)

@@ -60,7 +60,7 @@ def test_kron_qft_uniform():
 def test_apply_identity():
     s = basis_state((1, 0), 2)
     ident = GateKind.Identity
-    c = Circuit(2, 2, (GateOp(ident, (1,), 2), GateOp(ident, (2,), 2)))
+    c = Circuit(2, 2, (GateOp(ident, (1,)), GateOp(ident, (2,))))
     assert np.array_equal(simulate(c, s).amps, s.amps)
 
 
@@ -68,7 +68,7 @@ def test_apply_perm_matches_dense():
     # the kernel moves amplitudes by the table; the oracle multiplies by the 0/1 matrix
     rng = np.random.default_rng(7)
     for d in (2, 3, 5):
-        c = Circuit(d, 2, (GateOp(GateKind.SWAP, (1, 2), d),))
+        c = Circuit(d, 2, (GateOp(GateKind.SWAP, (1, 2)),))
         amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
         amps /= np.linalg.norm(amps)
         s = StateVector(d, 2, amps)

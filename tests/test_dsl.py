@@ -28,7 +28,7 @@ def circuits(draw):
                 )
             )
         )
-        ops.append(GateOp(kind, wires, d))
+        ops.append(GateOp(kind, wires))
     return Circuit(d, n, tuple(ops))
 
 
@@ -60,7 +60,7 @@ def test_render_empty():
 def test_comments_and_blank_lines_ignored():
     text = "# a swap\n\ndim 3\nwires 2\n  # indented comment\nCXT 2 1  # inline\n\n"
     c = parse(text)
-    assert c.ops == (GateOp(GateKind.CXTilde, (2, 1), 3),)
+    assert c.ops == (GateOp(GateKind.CXTilde, (2, 1)),)
     assert render(c) == "dim 3\nwires 2\nCXT 2 1\n"
 
 
@@ -77,41 +77,44 @@ def test_render_idempotent(c):
     assert render(parse(text)) == text
 
 
+# (document, message fragment, (line, column, token) of the error)
 MALFORMED = [
-    ("", "missing 'dim'"),
-    ("wires 2\n", "before 'dim'"),
-    ("dim 3\n", "missing 'wires'"),
-    ("dim 3\ndim 4\nwires 2\n", "duplicate 'dim'"),
-    ("dim 3\nwires 2\nwires 2\n", "duplicate 'wires'"),
-    ("dim 1\nwires 2\n", "dimension must be >= 2"),
-    ("dim x\nwires 2\n", "expected integer"),
-    ("dim 3\nwires zero\n", "expected integer"),
-    ("dim 3\nwires 0\n", "wire count"),
-    ("dim 3 4\nwires 2\n", "exactly one"),
-    ("dim 3\nwires 2 2\n", "exactly one"),
-    ("CXT 1 2\ndim 3\nwires 2\n", "before 'dim'"),
-    ("dim 3\nwires 2\nBOGUS 1 2\n", "unknown gate"),
-    ("dim 3\nwires 2\nCXT 1\n", "2 wire"),
-    ("dim 3\nwires 2\nQFT 1 2\n", "1 wire"),
-    ("dim 3\nwires 2\nCXT 1 3\n", "out of range"),
-    ("dim 3\nwires 2\nCXT 0 1\n", "out of range"),
-    ("dim 3\nwires 2\nCXT 1 1\n", "duplicate wire"),
-    ("dim 3\nwires 2\nCXT 1 two\n", "expected integer"),
-    ("dim 3\nwires 2\nCZ 1 2 1\n", "2 wire"),
+    ("", "missing 'dim'", (1, 1, "")),
+    ("wires 2\n", "before 'dim'", (1, 1, "wires")),
+    ("dim 3\n", "missing 'wires'", (2, 1, "")),
+    ("dim 3\ndim 4\nwires 2\n", "duplicate 'dim'", (2, 1, "dim")),
+    ("dim 3\nwires 2\nwires 2\n", "duplicate 'wires'", (3, 1, "wires")),
+    ("dim 1\nwires 2\n", "dimension must be >= 2", (1, 5, "1")),
+    ("dim x\nwires 2\n", "expected integer", (1, 5, "x")),
+    ("dim 3\nwires zero\n", "expected integer", (2, 7, "zero")),
+    ("dim 3\nwires 0\n", "wire count", (2, 7, "0")),
+    ("dim 3 4\nwires 2\n", "exactly one", (1, 1, "dim")),
+    ("dim 3\nwires 2 2\n", "exactly one", (2, 1, "wires")),
+    ("CXT 1 2\ndim 3\nwires 2\n", "before 'dim'", (1, 1, "CXT")),
+    ("dim 3\nwires 2\nBOGUS 1 2\n", "unknown gate", (3, 1, "BOGUS")),
+    ("dim 3\nwires 2\nCXT 1\n", "2 wire", (3, 1, "CXT")),
+    ("dim 3\nwires 2\nQFT 1 2\n", "1 wire", (3, 1, "QFT")),
+    ("dim 3\nwires 2\nCXT 1 3\n", "out of range", (3, 7, "3")),
+    ("dim 3\nwires 2\nCXT 0 1\n", "out of range", (3, 5, "0")),
+    ("dim 3\nwires 2\nCXT 1 1\n", "duplicate wire", (3, 1, "CXT")),
+    ("dim 3\nwires 2\nCXT 1 two\n", "expected integer", (3, 7, "two")),
+    ("dim 3\nwires 2\nCZ 1 2 1\n", "2 wire", (3, 1, "CZ")),
 ]
 
 
-@pytest.mark.parametrize("text,needle", MALFORMED)
-def test_malformed_documents(text, needle):
+@pytest.mark.parametrize(
+    "text,needle,where", MALFORMED, ids=[f"{text}-{needle}" for text, needle, _ in MALFORMED]
+)
+def test_malformed_documents(text, needle, where):
     with pytest.raises(ParseError) as exc:
         parse(text)
     err = exc.value
     assert needle in err.message
-    assert err.line >= 1 and err.column >= 1
+    assert (err.line, err.column, err.token) == where
     lines = text.split("\n")
     assert err.line <= max(len(lines), 1)
     if err.token and err.line <= len(lines):
-        assert err.token in lines[err.line - 1] or err.token == ""
+        assert err.token in lines[err.line - 1]
 
 
 def test_error_column_points_at_token():

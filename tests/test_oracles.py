@@ -54,7 +54,7 @@ def circuits_on(draw, d, n, kinds=KINDS):
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(kinds))
         wires = draw(st.permutations(range(1, n + 1)))[: kind.arity]
-        ops.append(GateOp(kind, tuple(wires), d))
+        ops.append(GateOp(kind, tuple(wires)))
     return Circuit(d, n, tuple(ops))
 
 
@@ -90,12 +90,12 @@ def test_circuit_unitary_matches_oracle_product(c):
 
 @settings(deadline=None, max_examples=150)
 @given(circuits(), st.integers(1, 3), st.integers(0, 2**32 - 1))
-@example(Circuit(3, 3, (GateOp(GateKind.QFT, (2,), 3), GateOp(GateKind.CZd, (3, 2), 3),
-                        GateOp(GateKind.QFT, (2,), 3), GateOp(GateKind.CXd, (3, 1), 3),
-                        GateOp(GateKind.CXd, (3, 1), 3), GateOp(GateKind.IQFT, (1,), 3))),
+@example(Circuit(3, 3, (GateOp(GateKind.QFT, (2,)), GateOp(GateKind.CZd, (3, 2)),
+                        GateOp(GateKind.QFT, (2,)), GateOp(GateKind.CXd, (3, 1)),
+                        GateOp(GateKind.CXd, (3, 1)), GateOp(GateKind.IQFT, (1,)))),
          2, 0)
-@example(Circuit(2, 4, (GateOp(GateKind.SWAP, (4, 1), 2), GateOp(GateKind.CXTilde, (4, 1), 2),
-                        GateOp(GateKind.Xd, (1,), 2), GateOp(GateKind.CXdDag, (2, 1), 2))),
+@example(Circuit(2, 4, (GateOp(GateKind.SWAP, (4, 1)), GateOp(GateKind.CXTilde, (4, 1)),
+                        GateOp(GateKind.Xd, (1,)), GateOp(GateKind.CXdDag, (2, 1)))),
          3, 1)
 def test_run_in_place_matches_oracle_product(c, cols, seed):
     rng = np.random.default_rng(seed)
@@ -126,7 +126,7 @@ def test_simulate_leaves_its_input_unchanged_and_read_only():
 
 
 def _ops(d, *specs):
-    return tuple(GateOp(kind, wires, d) for kind, wires in specs)
+    return tuple(GateOp(kind, wires) for kind, wires in specs)
 
 
 # circuits in which some wire's digit is never changed: the unitary is built
@@ -264,7 +264,7 @@ def test_simulate_allocates_one_copy_and_one_work_array():
     d, n = 2, 16
     rng = np.random.default_rng(3)
     wires = [rng.permutation(range(1, n + 1))[: kind.arity] for kind in KINDS * 2]
-    c = Circuit(d, n, tuple(GateOp(kind, tuple(w), d) for kind, w in zip(KINDS * 2, wires)))
+    c = Circuit(d, n, tuple(GateOp(kind, tuple(w)) for kind, w in zip(KINDS * 2, wires)))
     s = StateVector(d, n, _random_amps(3, d**n))
     simulate(c, s)  # builds the gates
     _, peak = _peak_bytes(lambda: simulate(c, s))
@@ -284,7 +284,7 @@ def test_unitary_and_compare_allocate_little_beyond_the_output():
 def test_table_dist_of_a_permutation_circuit_needs_only_the_state_budget():
     # 2^13 labels are over the unitary budget of 4096 but well within the state's
     d, n = 2, 13
-    c = Circuit(d, n, (GateOp(GateKind.CXd, (1, 2), d),) * 2)
+    c = Circuit(d, n, (GateOp(GateKind.CXd, (1, 2)),) * 2)
     assert table_dist(c, identity_matrix(d**n)) == 0.0
     once = Circuit(d, n, c.ops[:1])
     assert table_dist(once, identity_matrix(d**n)) == 1.0
@@ -431,7 +431,7 @@ def _random_perm_circuit(rng, d, n, count):
     for _ in range(count):
         kind = PERM_KINDS[rng.integers(len(PERM_KINDS))]
         wires = rng.permutation(n)[: kind.arity] + 1
-        ops.append(GateOp(kind, tuple(wires), d))
+        ops.append(GateOp(kind, tuple(wires)))
     return Circuit(d, n, tuple(ops))
 
 

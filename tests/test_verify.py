@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,19 @@ def test_verify_identity_rejects_a_dimension_below_2(name):
     for d in (1, 0, -3):
         with pytest.raises(DimensionError):
             verify_identity(name, d)
+
+
+@pytest.mark.parametrize("name", list(IDENTITIES))
+def test_verify_identity_rejects_a_dimension_above_64_before_allocating(name):
+    for d in (65, 4097):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="d must be in 2..64"):
+                verify_identity(name, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (d, peak)
 
 
 def test_verify_identity_rejects_an_unknown_name_and_lists_the_known_ones():
