@@ -10,18 +10,17 @@ where a gate written with control i and target j acts control-on-wire-i.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .core import (
-    MAX_STATE_SIZE,
     MAX_UNITARY_DIM,
     DimensionError,
     GateMatrix,
     StateVector,
+    _check_budget,
     _check_dim,
 )
 from .gates import (
@@ -102,13 +101,6 @@ class Circuit:
         return tuple(built[op.kind] for op in self.ops)
 
 
-def _check_budget(d: int, n: int, budget: int = MAX_STATE_SIZE) -> None:
-    # d >= 2, so d^n > budget once n exceeds budget's bit length; the power
-    # is only taken for n small enough to keep it a small integer
-    if n > budget.bit_length() or d**n > budget:
-        raise DimensionError(f"register size d^n = {d}^{n} exceeds budget {budget}")
-
-
 def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
     """Apply every op of ``c`` to the d^n rows of ``t``; returns (d^n, cols).
 
@@ -173,33 +165,28 @@ def _changed_wires(c: Circuit, op: GateOp, g: GateMatrix) -> set[int]:
             if np.any(g.matrix[x[:, None] != x] != 0)}
 
 
-def _tied(a: np.ndarray, n: int, col_wires: list[int], tied: set[int]) -> np.ndarray:
-    """Writable view of ``a`` in which each tied wire's column digit is its row digit.
+def _blocks(c: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ops run on the identity over the free wires, with the one map of its entries.
 
-    ``a`` has n row axes, one per wire, then one column axis per entry of
-    ``col_wires``; the view keeps the row axes and the untied column axes.
-    """
-    rows = string.ascii_letters[:n]
-    cols = [rows[w] if w in tied else string.ascii_letters[n + j]
-            for j, w in enumerate(col_wires)]
-    untied = "".join(x for x in cols if x not in rows)
-    return np.einsum(f"{rows}{''.join(cols)}->{rows}{untied}", a)
-
-
-def _blocks(c: Circuit) -> tuple[np.ndarray, list[int], list[int]]:
-    """The ops run on the identity over the free wires, and the kept and free wires.
-
-    No op changes a kept wire's digit.  Blocks ``(d,)*n + (d,)*f`` hold every
-    entry off 0: a row label, then the free digits of a column in its block.
+    No op changes a kept wire's digit, so row r of the unitary is 0 off its
+    block, and ``blocks`` (d^n, d^f) holds the rest: ``blocks[r, j]`` is the
+    entry at column ``base[r] + parts[j]``.  ``base`` is each label's kept
+    part, ``parts`` the free parts of the block columns, in order, and
+    ``col`` each label's own block column.
     """
     d, n = c.d, c.n
     changed = set().union(*(_changed_wires(c, op, g) for op, g in zip(c.ops, c.gates)))
     free = [w for w in range(n) if w + 1 in changed]
-    kept = [w for w in range(n) if w + 1 not in changed]
     _check_budget(d, n + len(free))
-    blocks = np.zeros((d,) * (n + len(free)), dtype=np.complex128)
-    _tied(blocks, n, free, set(free))[...] = 1.0  # identity on the free wires
-    return _run(c, blocks).reshape(blocks.shape), kept, free
+    labels = np.arange(d**n)
+    place = d ** np.arange(n - 1, -1, -1)[free]  # the place value of each free digit
+    digits = labels // place[:, None] % d  # (f, d^n): each label's free digits
+    base = labels - place @ digits
+    parts = np.flatnonzero(base == 0)  # the labels whose kept digits are all 0
+    col = d ** np.arange(len(free) - 1, -1, -1) @ digits
+    blocks = np.zeros((d**n, d ** len(free)), dtype=np.complex128)
+    blocks[labels, col] = 1.0  # identity on the free wires
+    return _run(c, blocks), base, parts, col
 
 
 def circuit_unitary(c: Circuit) -> GateMatrix:
@@ -207,27 +194,27 @@ def circuit_unitary(c: Circuit) -> GateMatrix:
 
     A circuit of permutation gates gives an exact table, without a
     d^n x d^n array, and one that changes no digit a phase vector.
-    Otherwise the unitary is block diagonal in every kept wire, and the
-    blocks are scattered into the result.
+    Otherwise the unitary is block diagonal in every kept wire, and
+    ``_blocks``' map scatters each row's block into the result.
     """
     _check_budget(c.d, c.n, MAX_UNITARY_DIM)
     d, n = c.d, c.n
     if all(g.perm is not None for g in c.gates):
         # entry i of the run is the label that lands on i: the inverse table
         return GateMatrix(perm=_run(c, np.arange(d**n))[:, 0]).dagger()
-    blocks, kept, free = _blocks(c)
-    if not free:
-        return GateMatrix(phases=blocks.reshape(-1))
-    out = np.zeros((d,) * (2 * n), dtype=np.complex128)
-    _tied(out, n, list(range(n)), set(kept))[...] = blocks
-    return GateMatrix(out.reshape(d**n, d**n))
+    blocks, base, parts, _ = _blocks(c)
+    if parts.size == 1:  # no free wire: each row's block is its diagonal entry
+        return GateMatrix(phases=blocks[:, 0])
+    out = np.zeros((d**n, d**n), dtype=np.complex128)
+    out[np.arange(d**n)[:, None], base[:, None] + parts] = blocks
+    return GateMatrix(out)
 
 
 def table_dist(c: Circuit, table: GateMatrix) -> float:
     """``max_entry_dist(circuit_unitary(c), table)``, without a d^n x d^n array.
 
-    Blocks are read as |b| off the table's support and |b - 1| on it; a
-    target label outside its column's block adds 1.0, as the unitary holds 0.
+    Blocks are read as |b| off the table's 1s and |b - 1| on them; a row whose
+    1 lies outside its block adds 1.0, as the unitary holds 0 there.
     """
     d, n = c.d, c.n
     if table.perm is None or table.dim != d**n:
@@ -236,14 +223,11 @@ def table_dist(c: Circuit, table: GateMatrix) -> float:
         _check_budget(d, n)  # two tables, exactly; the run holds d^n labels, no unitary
         landed = _run(c, np.arange(d**n))[:, 0]  # entry i: the label that lands on i
         return 0.0 if np.array_equal(table.perm[landed], np.arange(d**n)) else 1.0
-    blocks, kept, free = _blocks(c)
-    digits = np.array(np.unravel_index(np.arange(d**n), (d,) * n))
-    src = digits[:, np.argsort(table.perm)]  # digits of the column landing on each row
-    rows = np.flatnonzero((src[kept] == digits[kept]).all(axis=0))
-    cols = (d ** np.arange(len(free))[::-1] @ src[free])[rows]  # its place in the block
-    flat = blocks.reshape(d**n, -1)
-    flat[rows, cols] -= 1
-    return max(float(np.abs(flat).max()), 0.0 if rows.size == d**n else 1.0)
+    blocks, base, _, col = _blocks(c)
+    src = np.argsort(table.perm)  # the column of each row's 1
+    rows = np.flatnonzero(base[src] == base)  # the rows whose 1 lies in their own block
+    blocks[rows, col[src[rows]]] -= 1
+    return max(float(np.abs(blocks).max()), 0.0 if rows.size == d**n else 1.0)
 
 
 def simulate(c: Circuit, s: StateVector) -> StateVector:
@@ -253,7 +237,9 @@ def simulate(c: Circuit, s: StateVector) -> StateVector:
             f"state ({s.d}, {s.n}) does not match circuit ({c.d}, {c.n})"
         )
     _check_budget(c.d, c.n)
-    return StateVector(c.d, c.n, _run(c, s.amps.copy())[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):  # StateVector names a non-finite result
+        amps = _run(c, s.amps.copy())[:, 0]
+    return StateVector(c.d, c.n, amps)
 
 
 def swap_circuit(d: int) -> Circuit:
@@ -317,13 +303,11 @@ def partial_swap_circuit(d: int) -> Circuit:
 
 def expand_cx_tilde(c: Circuit) -> Circuit:
     """Rewrite each negated-sum gate into its QFT / phase / QFT expansion."""
+    expansion = cx_tilde_decomposition(c.d).ops  # wire 1 the control, wire 2 the target
     ops: list[GateOp] = []
     for op in c.ops:
         if op.kind is GateKind.CXTilde:
-            control, target = op.wires
-            ops.append(GateOp(GateKind.QFT, (target,)))
-            ops.append(GateOp(GateKind.CZd, (control, target)))
-            ops.append(GateOp(GateKind.QFT, (target,)))
+            ops += (GateOp(e.kind, tuple(op.wires[w - 1] for w in e.wires)) for e in expansion)
         else:
             ops.append(op)
     return Circuit(c.d, c.n, tuple(ops))

@@ -15,8 +15,8 @@ import warnings
 
 import numpy as np
 
-from .circuit import Circuit, _check_budget, _follow, gate_matrix, simulate
-from .core import StateVector, _check_digits, basis_state
+from .circuit import Circuit, _follow, gate_matrix, simulate
+from .core import StateVector, _check_budget, _check_digits, basis_state
 from .dsl import MNEMONICS, ParseError, parse, render
 from .verify import VerificationReport, check_d_range, verify_all
 
@@ -171,7 +171,10 @@ def cmd_simulate(args) -> int:
             print(",".join(map(str, label)))
         return 0
 
-    out = simulate(circ, state)
+    try:
+        out = simulate(circ, state)
+    except ValueError as exc:  # an amplitude overflowed
+        return _usage_error(exc)
     idx = np.flatnonzero(np.abs(out.amps) >= AMP_EPSILON)
     kept = out.amps[idx]
     if args.json:

@@ -28,6 +28,13 @@ class DimensionError(ValueError):
     """Raised for qudit dimensions below 2 or mismatched operand shapes."""
 
 
+def _check_budget(d: int, n: int, budget: int = MAX_STATE_SIZE) -> None:
+    # d >= 2, so d^n > budget once n exceeds budget's bit length; the power
+    # is only taken for n small enough to keep it a small integer
+    if n > budget.bit_length() or d**n > budget:
+        raise DimensionError(f"register size d^n = {d}^{n} exceeds budget {budget}")
+
+
 def _check_dim(d: int) -> None:
     if d < 2:
         raise DimensionError(f"qudit dimension must be >= 2, got {d}")
@@ -48,8 +55,9 @@ class StateVector:
             raise DimensionError(
                 f"expected {self.d ** self.n} amplitudes, got {amps.shape}"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("non-finite amplitude")
+        finite = np.isfinite(amps)
+        if not finite.all():
+            raise ValueError(f"non-finite amplitude at index {np.flatnonzero(~finite)[0]}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -130,6 +138,7 @@ def basis_state(digits: tuple[int, ...], d: int) -> StateVector:
     _check_dim(d)
     _check_digits(digits, d)
     n = len(digits)
+    _check_budget(d, n)
     amps = np.zeros(d**n, dtype=np.complex128)
     amps[np.ravel_multi_index(digits, (d,) * n)] = 1.0
     return StateVector(d, n, amps)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,16 @@ def test_basis_state_rejects_out_of_range_digit():
     for digits in ((0, 3), (-1, 0)):
         with pytest.raises(ValueError, match="out of range for d=3"):
             basis_state(digits, 3)
+
+
+def test_basis_state_refuses_a_register_over_the_state_budget_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="exceeds budget"):
+            basis_state((0, 0), 4097)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (5, 2), (10, 4), (21, 2)])

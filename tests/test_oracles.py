@@ -129,6 +129,11 @@ def _ops(d, *specs):
     return tuple(GateOp(kind, wires) for kind, wires in specs)
 
 
+# SWAP of wires 1 and 3 as nine QFT / phase gates: kept wires between free ones
+SWAP_1_3 = expand_cx_tilde(Circuit(3, 4, _ops(3, (GateKind.CXTilde, (3, 1)),
+                                              (GateKind.CXTilde, (1, 3)),
+                                              (GateKind.CXTilde, (3, 1)))))
+
 # circuits in which some wire's digit is never changed: the unitary is built
 # block by block over the other wires
 KEPT_WIRE_CIRCUITS = [
@@ -137,6 +142,7 @@ KEPT_WIRE_CIRCUITS = [
     *(Circuit(d, 3, _ops(d, (GateKind.QFT, (2,)))) for d in (2, 3)),
     Circuit(3, 3, _ops(3, (GateKind.QFT, (2,)), (GateKind.CXd, (1, 2)),
                        (GateKind.CZd, (3, 2)), (GateKind.IQFT, (2,)))),
+    SWAP_1_3,
 ]
 
 
@@ -223,6 +229,12 @@ def circuit_and_table(draw):
 @example((cx_tilde_decomposition_alt(5), cx_tilde(5)))
 @example((Circuit(3, 2, _ops(3, (GateKind.QFT, (2,)))), swap_ref(3)))
 @example((Circuit(3, 2, _ops(3, (GateKind.CZd, (1, 2)))), cx_tilde(3)))
+# free wires 1 and 3 around kept wires 2 and 4: a table that keeps every label
+# in its block, then one that moves the kept digits
+@example((SWAP_1_3, circuit_unitary(Circuit(3, 4, _ops(3, (GateKind.SWAP, (1, 3)))))))
+@example((SWAP_1_3, circuit_unitary(Circuit(3, 4, _ops(3, (GateKind.SWAP, (2, 4)))))))
+@example((Circuit(2, 4, _ops(2, (GateKind.CZd, (1, 3)), (GateKind.CZdDag, (4, 2)))),
+          circuit_unitary(Circuit(2, 4, _ops(2, (GateKind.SWAP, (1, 3)))))))
 def test_table_dist_matches_dense_compare(drawn):
     c, table = drawn
     assert table_dist(c, table) == max_entry_dist(circuit_unitary(c), table)
@@ -598,6 +610,36 @@ def test_load_state_matches_oracle_on_drawn_text(text):
             d = int(count[1])
             assert _load_outcome(cli._load_state, str(f), d, 1) == _load_outcome(
                 oracles.load_state, f, d, 1)
+
+
+@st.composite
+def circuit_and_state_text(draw):
+    """The text of a 1- or 2-wire QFT / CZ circuit, and state text that may overflow its run."""
+    d, n = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    c = draw(circuits_on(d, n, [GateKind.QFT, GateKind.CZd]))
+    number = st.one_of(_finite, st.sampled_from(["1.7e308", "-1.7e308", "nan", "inf"]))
+    pairs = st.lists(_pair_line(number), min_size=d**n, max_size=d**n).map("\n".join)
+    return render(c), draw(st.one_of(pairs, _state_text))
+
+
+@settings(deadline=None, max_examples=50)
+@given(circuit_and_state_text())
+@example(("dim 2\nwires 1\nQFT 1\n", "1.7e308 0\n1.7e308 0\n"))
+def test_cli_simulate_on_drawn_state_text_exits_0_or_2(drawn):
+    qc_text, text = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        qc, state = Path(tmp) / "c.qc", Path(tmp) / "state.txt"
+        qc.write_text(qc_text, encoding="utf-8")
+        state.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(["simulate", "--circuit", str(qc), "--state", str(state)])
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    assert caught == []
+    if "non-finite" in err.getvalue():
+        assert re.fullmatch(r"error: non-finite amplitude at index \d+\n", err.getvalue())
 
 
 @pytest.mark.parametrize("rows", [0, 1, cli._ROWS_PER_WRITE - 1, cli._ROWS_PER_WRITE,
