@@ -15,14 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    MAX_UNITARY_DIM,
-    DimensionError,
-    GateMatrix,
-    StateVector,
-    _check_budget,
-    _check_dim,
-)
+from .core import DimensionError, GateMatrix, StateVector, _check_budget, _check_dim
 from .gates import (
     GateKind,
     cx_d,
@@ -195,9 +188,10 @@ def circuit_unitary(c: Circuit) -> GateMatrix:
     A circuit of permutation gates gives an exact table, without a
     d^n x d^n array, and one that changes no digit a phase vector.
     Otherwise the unitary is block diagonal in every kept wire, and
-    ``_blocks``' map scatters each row's block into the result.
+    ``_blocks``' map scatters each row's block into the result.  Its
+    d^n x d^n entries are checked against the budget first: d^n <= 4096.
     """
-    _check_budget(c.d, c.n, MAX_UNITARY_DIM)
+    _check_budget(c.d, 2 * c.n)
     d, n = c.d, c.n
     if all(g.perm is not None for g in c.gates):
         # entry i of the run is the label that lands on i: the inverse table

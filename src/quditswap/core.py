@@ -18,26 +18,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# d^n limits: a unitary holds d^n x d^n entries, a state d^n amplitudes, so
-# the largest state allowed is as large as the largest unitary.
-MAX_UNITARY_DIM = 4096
-MAX_STATE_SIZE = MAX_UNITARY_DIM**2
+# no array the package builds holds more entries: a 4096 x 4096 unitary
+MAX_ENTRIES = 4096**2
 
 
 class DimensionError(ValueError):
     """Raised for qudit dimensions below 2 or mismatched operand shapes."""
 
 
-def _check_budget(d: int, n: int, budget: int = MAX_STATE_SIZE) -> None:
-    # d >= 2, so d^n > budget once n exceeds budget's bit length; the power
-    # is only taken for n small enough to keep it a small integer
-    if n > budget.bit_length() or d**n > budget:
-        raise DimensionError(f"register size d^n = {d}^{n} exceeds budget {budget}")
-
-
 def _check_dim(d: int) -> None:
     if d < 2:
         raise DimensionError(f"qudit dimension must be >= 2, got {d}")
+
+
+def _check_budget(d: int, k: int) -> None:
+    """Refuse d < 2, or an array of k digit axes of size d: d^k > MAX_ENTRIES.
+
+    Called before the array is allocated: a state has k = n, a unitary
+    k = 2n, a gate over two qudits k = 2.
+    """
+    _check_dim(d)
+    # d >= 2, so d^k > MAX_ENTRIES once k exceeds its bit length; the power
+    # is only taken for k small enough to keep it a small integer
+    if k > MAX_ENTRIES.bit_length() or d**k > MAX_ENTRIES:
+        raise DimensionError(f"an array of {d}^{k} entries exceeds budget {MAX_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -135,10 +139,9 @@ def _check_digits(digits: tuple[int, ...], d: int) -> None:
 
 def basis_state(digits: tuple[int, ...], d: int) -> StateVector:
     """Computational basis state |x1 x2 ... xn> of n qudits of dimension d."""
-    _check_dim(d)
-    _check_digits(digits, d)
     n = len(digits)
     _check_budget(d, n)
+    _check_digits(digits, d)
     amps = np.zeros(d**n, dtype=np.complex128)
     amps[np.ravel_multi_index(digits, (d,) * n)] = 1.0
     return StateVector(d, n, amps)

@@ -4,7 +4,8 @@ Every builder returns a :class:`~quditswap.core.GateMatrix` over one or two
 qudits of dimension d.  For two-qudit gates the first label digit is the
 control and the second the target; placing a gate on other wires (or with the
 control below the target) is the job of circuit embedding, never of the
-constructor.
+constructor.  Each builder checks its d^k entries against the one budget
+(``core._check_budget``) before it allocates them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import enum
 
 import numpy as np
 
-from .core import MAX_UNITARY_DIM, DimensionError, GateMatrix, _check_dim, identity_matrix
+from .core import GateMatrix, _check_budget, identity_matrix
 
 
 class GateKind(enum.Enum):
@@ -39,14 +40,12 @@ class GateKind(enum.Enum):
 
 def _digits(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Digit arrays (x, y) of every two-qudit flat index x * d + y, in order."""
-    _check_dim(d)
+    _check_budget(d, 2)
     return np.divmod(np.arange(d * d), d)
 
 
 def qft(d: int) -> GateMatrix:
     """Quantum Fourier transform: entry (k, x) = e^{i 2pi x k / d} / sqrt(d)."""
-    if d > MAX_UNITARY_DIM:  # a dense d x d unitary, checked before allocating it
-        raise DimensionError(f"a QFT needs d <= {MAX_UNITARY_DIM}, got {d}")
     k, x = _digits(d)
     # reduce the product mod d before the trig call to bound the argument
     phase = 2.0 * np.pi * ((k * x) % d) / d
@@ -100,7 +99,7 @@ def x_d(d: int) -> GateMatrix:
 
     Note: at d=2 this is the identity (-x = x mod 2), not the qubit NOT.
     """
-    _check_dim(d)
+    _check_budget(d, 1)
     return GateMatrix(perm=-np.arange(d) % d)
 
 
@@ -112,5 +111,5 @@ def swap_ref(d: int) -> GateMatrix:
 
 def identity_gate(d: int, wires: int = 1) -> GateMatrix:
     """Identity on the given number of qudit wires."""
-    _check_dim(d)
+    _check_budget(d, wires)
     return identity_matrix(d**wires)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from quditswap.core import identity_matrix, max_entry_dist
+from quditswap.circuit import Circuit, GateOp, circuit_unitary
+from quditswap.core import MAX_ENTRIES, DimensionError, identity_matrix, max_entry_dist
 from quditswap.gates import (
     GateKind,
     cx_d,
@@ -9,6 +12,7 @@ from quditswap.gates import (
     cx_tilde,
     cz_d,
     cz_d_dag,
+    identity_gate,
     iqft,
     qft,
     swap_ref,
@@ -171,18 +175,31 @@ def test_perm_tables_are_bijections(d):
 
 
 def test_invalid_dimension_rejected():
-    from quditswap.core import DimensionError
-
     for builder in ALL_BUILDERS:
         with pytest.raises(DimensionError):
             builder(1)
 
 
-def test_oversized_qft_rejected_before_allocation():
-    from quditswap.core import MAX_UNITARY_DIM, DimensionError
+OVERSIZED = [  # (builder, its arguments, the d^k entries it would allocate)
+    *((b, (d,), f"{d}^2") for b in (qft, iqft) for d in (4097, 5_000_000)),
+    *((b, (4097,), "4097^2") for b in (cz_d, cz_d_dag, cx_tilde, cx_d, cx_d_dag, swap_ref)),
+    (x_d, (MAX_ENTRIES + 1,), f"{MAX_ENTRIES + 1}^1"),
+    (identity_gate, (2, 25), "2^25"),
+    (identity_gate, (4097, 2), "4097^2"),
+    (circuit_unitary, (Circuit(2, 13, (GateOp(GateKind.Xd, (1,)),)),), "2^26"),
+]
 
-    # a 5e6 x 5e6 dense matrix would need 182 TiB
-    for builder in (qft, iqft):
-        for d in (MAX_UNITARY_DIM + 1, 5_000_000):
-            with pytest.raises(DimensionError, match="QFT needs d <= 4096"):
-                builder(d)
+
+# every builder checks its d^k entries against one budget before allocating:
+# a 5e6 x 5e6 QFT would need 182 TiB, an unchecked 4097^2 table 0.2 to 1 GB
+@pytest.mark.parametrize("build,args,entries", OVERSIZED,
+                         ids=[f"{b.__name__}-{e}" for b, _, e in OVERSIZED])
+def test_oversized_qft_rejected_before_allocation(build, args, entries):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError) as exc:
+            build(*args)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"an array of {entries} entries exceeds budget {MAX_ENTRIES}"

@@ -39,7 +39,7 @@ from quditswap.core import (
     identity_matrix,
     max_entry_dist,
 )
-from quditswap.dsl import render
+from quditswap.dsl import MNEMONICS, render
 from quditswap.gates import GateKind, cx_tilde, cz_d, qft, swap_ref
 from quditswap.verify import IDENTITIES, verify_all, verify_identity
 
@@ -570,11 +570,12 @@ _number = st.one_of(
     st.lists(st.sampled_from([*"0123456789+-.eE_", "nan", "inf"]), min_size=1, max_size=6).map("".join),
 )
 _sep = st.lists(st.sampled_from(_SEPARATORS), max_size=3).map("".join)
+_sep1 = st.lists(st.sampled_from(_SEPARATORS), min_size=1, max_size=3).map("".join)
 
 
 def _pair_line(number):
     return st.tuples(
-        _sep, number, _sep.filter(bool), number, _sep, st.sampled_from(["", "#", "# 1 2"]),
+        _sep, number, _sep1, number, _sep, st.sampled_from(["", "#", "# 1 2"]),
     ).map("".join)
 
 
@@ -612,34 +613,125 @@ def test_load_state_matches_oracle_on_drawn_text(text):
                 oracles.load_state, f, d, 1)
 
 
+_BIG = "98765432109876543210"  # 20 digits: a d or n this size fits no budget
+# .qc lines that the parser refuses, or that put a huge integer where it allocates nothing
+_MUTANT_LINES = ["FOO 1", "cxt 1 2", "CX 1 1", "ID", "QFT 1\x00", "\x00", "dim", "dim 3",
+                 "wires 2", f"dim {_BIG}", f"wires {_BIG}", f"X {_BIG}", f"CZ 1 {_BIG}"]
+# d^2 or d^n over the budget, from an integer alone: the builders or the register refuse
+_HUGE_QC = [f"dim {_BIG}\nwires 2\nCZ 1 2\n", f"dim {_BIG}\nwires 2\nQFT 2\n",
+            "dim 4097\nwires 2\nCZ 1 2\n", "dim 4097\nwires 1\nQFT 1\n",
+            "dim 5000000\nwires 1\nIQFT 1\n"]
+# Arabic-Indic, Devanagari and fullwidth digits, each of which int() and float() read
+_SCRIPTS = ["\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+            "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
+            "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"]
+_TO_ASCII = str.maketrans({c: str(i) for script in _SCRIPTS for i, c in enumerate(script)})
+# an integer argument; the first branch weights the draws toward a valid d
+_arg_int = st.one_of(st.integers(2, 8).map(str), st.integers(-1, 8).map(str),
+                     st.sampled_from([_BIG, "x", ""]))
+
+
 @st.composite
-def circuit_and_state_text(draw):
-    """The text of a 1- or 2-wire QFT / CZ circuit, and state text that may overflow its run."""
+def qc_text(draw):
+    """A small circuit's text with lines inserted or replaced, or a circuit of huge d;
+    and the (d, n) of the small circuit."""
     d, n = draw(st.integers(2, 4)), draw(st.integers(1, 2))
-    c = draw(circuits_on(d, n, [GateKind.QFT, GateKind.CZd]))
+    c = draw(circuits_on(d, n))
+    lines = draw(st.one_of(st.just(render(c)), st.just(render(c)),  # two draws in three
+                           st.sampled_from(_HUGE_QC))).splitlines()
+    mutation = st.tuples(st.integers(0, len(lines)), st.sampled_from(_MUTANT_LINES), st.booleans())
+    for at, line, replace in draw(st.one_of(st.just([]), st.lists(mutation, max_size=2))):
+        lines[at:at + replace] = [line]
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(a + b for a, b in zip(lines, ends)), d, n
+
+
+def state_text(size):
+    """``size`` amplitude lines that may overflow a run, or any text of the state alphabet."""
     number = st.one_of(_finite, st.sampled_from(["1.7e308", "-1.7e308", "nan", "inf"]))
-    pairs = st.lists(_pair_line(number), min_size=d**n, max_size=d**n).map("\n".join)
-    return render(c), draw(st.one_of(pairs, _state_text))
+    return st.one_of(st.lists(_pair_line(number), min_size=size, max_size=size).map("\n".join),
+                     _state_text)
 
 
-@settings(deadline=None, max_examples=50)
-@given(circuit_and_state_text())
-@example(("dim 2\nwires 1\nQFT 1\n", "1.7e308 0\n1.7e308 0\n"))
-def test_cli_simulate_on_drawn_state_text_exits_0_or_2(drawn):
-    qc_text, text = drawn
+@st.composite
+def cli_input(draw):
+    """(argv, .qc text, state text) for one run of ``cli.main``; "@qc" and "@state" name the files."""
+    # simulate, which reads both files, is drawn twice as often as the others
+    command = draw(st.sampled_from(["simulate", "verify", "simulate", "matrix", "parse"]))
+    qc, d, n = draw(qc_text())
+    state = ""
+    if command == "verify":
+        argv = ["verify", "--d-min", draw(_arg_int), "--d-max", draw(_arg_int)]
+        tol = draw(st.sampled_from([None, "0", "1e-300", "1e-12", "1", "nan", "-1", "inf"]))
+        argv += [] if tol is None else ["--tolerance", tol]
+    elif command == "matrix":
+        gate = draw(st.sampled_from([*MNEMONICS, "FOO", "cxt", ""]))
+        argv = ["matrix", "--gate", gate, "--d", draw(_arg_int),
+                "--format", draw(st.sampled_from(["csv", "json", "xml"]))]
+    elif command == "simulate":
+        label = ",".join(draw(st.one_of(
+            st.lists(st.integers(0, d - 1).map(str), min_size=n, max_size=n),
+            st.lists(_arg_int, max_size=4))))
+        given = draw(st.sampled_from([["--input"], ["--state"], ["--state"],
+                                      ["--input", "--state"], []]))
+        argv = ["simulate", "--circuit", "@qc"]
+        argv += ["--input", label] * ("--input" in given) + ["--state", "@state"] * ("--state" in given)
+        state = draw(state_text(d**n)) if "--state" in given else ""
+    else:
+        argv = ["parse", "--circuit", "@qc"]
+    argv += ["--json"] * (command in ("verify", "simulate") and draw(st.booleans()))
+    script = draw(st.sampled_from([None, *_SCRIPTS]))
+    if script is not None:  # the same digits, in another script
+        part = draw(st.integers(0, 2))
+        to = str.maketrans("0123456789", script)
+        argv, qc, state = ([a.translate(to) for a in argv] if part == 0 else argv,
+                           qc.translate(to) if part == 1 else qc,
+                           state.translate(to) if part == 2 else state)
+    return argv, qc, state
+
+
+def _run_main(argv, qc, state):
+    """(exit code, stdout, stderr, warnings) of ``cli.main`` on the two texts as files."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        qc, state = Path(tmp) / "c.qc", Path(tmp) / "state.txt"
-        qc.write_text(qc_text, encoding="utf-8")
-        state.write_bytes(text.encode("utf-8"))
+        files = {"@qc": Path(tmp) / "c.qc", "@state": Path(tmp) / "state.txt"}
+        files["@qc"].write_bytes(qc.encode("utf-8"))
+        files["@state"].write_bytes(state.encode("utf-8"))
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = cli.main(["simulate", "--circuit", str(qc), "--state", str(state)])
-    assert code in (0, 2) and "Traceback" not in err.getvalue()
+            try:
+                code = cli.main([str(files.get(a, a)) for a in argv])
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+SIMULATE_STATE = ["simulate", "--circuit", "@qc", "--state", "@state"]
+
+
+@settings(deadline=None, max_examples=120)
+@given(cli_input())
+@example((SIMULATE_STATE, "dim 2\nwires 1\nQFT 1\n", "1.7e308 0\n1.7e308 0\n"))
+@example((["parse", "--circuit", "@qc"], "dim \u0663\nwires \uff12\nCXT \u0967 2\n", ""))
+@example((["simulate", "--circuit", "@qc", "--input", "\u0661,2"], "dim 3\nwires 2\nCXT 1 2\n", ""))
+@example((["simulate", "--circuit", "@qc", "--input", "0"], "dim 4097\nwires 1\nQFT 1\n", ""))
+def test_cli_main_keeps_the_exit_code_contract_on_drawn_input(drawn):
+    argv, qc, state = drawn
+    code, out, err, caught = _run_main(argv, qc, state)
+    assert code in (0, 1, 2) and "Traceback" not in err
     assert caught == []
-    if "non-finite" in err.getvalue():
-        assert re.fullmatch(r"error: non-finite amplitude at index \d+\n", err.getvalue())
+    # exit 1 means a failed check, and nothing else does
+    assert (code == 1) == (argv[0] == "verify" and ("FAIL" in out or '"passed": false' in out))
+    assert out.isascii()
+    if "non-finite" in err:
+        assert re.fullmatch(r"error: non-finite amplitude at index \d+\n", err)
+    # non-ASCII decimal digits are read as the ASCII digits they stand for
+    plain = ([a.translate(_TO_ASCII) for a in argv], qc.translate(_TO_ASCII),
+             state.translate(_TO_ASCII))
+    if plain != (argv, qc, state):
+        assert _run_main(*plain)[:2] == (code, out)
 
 
 @pytest.mark.parametrize("rows", [0, 1, cli._ROWS_PER_WRITE - 1, cli._ROWS_PER_WRITE,
