@@ -1,12 +1,15 @@
 """Command-line front end: verify, matrix, simulate, parse.
 
 Exit codes: 0 success (all checks passed), 1 verification failure,
-2 usage or parse error.
+2 usage, parse or output error.  The commands raise; ``main`` alone turns
+a ``ParseError``, ``ValueError`` or ``OSError`` into one stderr line and
+exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -18,30 +21,22 @@ import numpy as np
 from .circuit import Circuit, _follow, gate_matrix, simulate
 from .core import StateVector, _check_budget, _check_digits, basis_state
 from .dsl import MNEMONICS, ParseError, parse, render
-from .verify import VerificationReport, check_d_range, verify_all
+from .verify import check_d_range, verify_all
 
 AMP_EPSILON = 1e-12
 _ROWS_PER_WRITE = 16384  # text rows per % format and write, in place of one format per row
-
-
-def _usage_error(message) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def cmd_verify(args) -> int:
     try:
         check_d_range(args.d_min, args.d_max)
     except ValueError as exc:
-        return _usage_error(f"--d-min {args.d_min} --d-max {args.d_max}: {exc}")
+        raise ValueError(f"--d-min {args.d_min} --d-max {args.d_max}: {exc}") from None
     if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
-        return _usage_error(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     reports = verify_all(args.d_min, args.d_max)
     if args.tolerance is not None:
-        reports = [
-            VerificationReport(r.identity_name, r.d, r.max_dev, args.tolerance)
-            for r in reports
-        ]
+        reports = [dataclasses.replace(r, tolerance=args.tolerance) for r in reports]
     failures = 0
     for r in reports:
         if not r.passed:
@@ -71,11 +66,8 @@ def cmd_verify(args) -> int:
 def cmd_matrix(args) -> int:
     kind = MNEMONICS.get(args.gate)
     if kind is None:
-        return _usage_error(f"unknown gate mnemonic {args.gate!r}")
-    try:
-        check_d_range(args.d, args.d)
-    except ValueError as exc:
-        return _usage_error(exc)
+        raise ValueError(f"unknown gate mnemonic {args.gate!r}")
+    check_d_range(args.d, args.d)
     m = gate_matrix(kind, args.d).entries
     if args.format == "json":
         rows = [[[float(v.real), float(v.imag)] for v in row] for row in m]
@@ -130,38 +122,26 @@ def _load_state(path: str, d: int, n: int) -> StateVector:
     return StateVector(d, n, pairs.view(np.complex128))
 
 
-def _read_circuit(path: str) -> Circuit | None:
-    """Parse a .qc file, or print why it cannot be read and return None."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-    return None
+def _read_circuit(path: str) -> Circuit:
+    with open(path, encoding="utf-8") as fh:
+        return parse(fh.read())
 
 
 def cmd_simulate(args) -> int:
     circ = _read_circuit(args.circuit)
-    if circ is None:
-        return 2
     if (args.input is None) == (args.state is None):
-        return _usage_error("exactly one of --input / --state is required")
-    try:
-        _check_budget(circ.d, circ.n)  # before the state allocates d^n amplitudes
-        # building the gates here makes a gate over its budget a usage error
-        permutation_only = all(g.perm is not None for g in circ.gates)
-        if args.input is not None:
-            digits = tuple(int(t) for t in args.input.split(","))
-            if len(digits) != circ.n:
-                raise ValueError(f"expected {circ.n} digits, got {len(digits)}")
-            _check_digits(digits, circ.d)
-            state = None if permutation_only else basis_state(digits, circ.d)
-        else:
-            state = _load_state(args.state, circ.d, circ.n)
-    except (ValueError, OSError) as exc:
-        return _usage_error(exc)
+        raise ValueError("exactly one of --input / --state is required")
+    _check_budget(circ.d, circ.n)  # before the state allocates d^n amplitudes
+    # building the gates here makes a gate over its budget a usage error
+    permutation_only = all(g.perm is not None for g in circ.gates)
+    if args.input is not None:
+        digits = tuple(int(t) for t in args.input.split(","))
+        if len(digits) != circ.n:
+            raise ValueError(f"expected {circ.n} digits, got {len(digits)}")
+        _check_digits(digits, circ.d)
+        state = None if permutation_only else basis_state(digits, circ.d)
+    else:
+        state = _load_state(args.state, circ.d, circ.n)
 
     if state is None:  # tables move a label to a label: follow it, allocate no state
         label = _follow(circ, np.array(digits)[:, None])[:, 0].tolist()
@@ -171,10 +151,7 @@ def cmd_simulate(args) -> int:
             print(",".join(map(str, label)))
         return 0
 
-    try:
-        out = simulate(circ, state)
-    except ValueError as exc:  # an amplitude overflowed
-        return _usage_error(exc)
+    out = simulate(circ, state)  # an amplitude that overflows raises ValueError
     idx = np.flatnonzero(np.abs(out.amps) >= AMP_EPSILON)
     kept = out.amps[idx]
     if args.json:
@@ -191,10 +168,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    circ = _read_circuit(args.circuit)
-    if circ is None:
-        return 2
-    sys.stdout.write(render(circ))
+    sys.stdout.write(render(_read_circuit(args.circuit)))
     return 0
 
 
@@ -235,7 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # UnicodeDecodeError and DimensionError too
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -66,6 +66,15 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
 
+def _is_bijection(perm: np.ndarray) -> bool:
+    """Whether a vector of n labels hits each of 0..n-1: one bool per label, no sorted copy."""
+    if perm.size and not (perm.min() >= 0 and perm.max() < perm.size):
+        return False
+    hit = np.zeros(perm.size, dtype=bool)
+    hit[perm] = True
+    return bool(hit.all())
+
+
 @dataclass(frozen=True, eq=False)
 class GateMatrix:
     """A gate on ``dim`` basis states, held in exactly one form.
@@ -84,7 +93,7 @@ class GateMatrix:
         m, perm, phases = self.matrix, self.perm, self.phases
         if perm is not None:
             perm = np.array(perm, dtype=np.intp)
-            if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(perm.size)):
+            if perm.ndim != 1 or not _is_bijection(perm):
                 raise ValueError("perm table is not a bijection")
         if phases is not None:
             phases = np.array(phases, dtype=np.complex128)

@@ -1,5 +1,7 @@
 import argparse
 import json
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -184,9 +186,31 @@ def test_parse_empty_file(tmp_path, capsys):
     assert "missing" in err
 
 
-def test_parse_missing_file(capsys):
-    code, _, _ = run(["parse", "--circuit", "/nonexistent.qc"], capsys)
+@pytest.mark.parametrize("path", ["/nonexistent.qc", "a\x00b"], ids=["missing", "nul"])
+@pytest.mark.parametrize("command", [["parse"], ["simulate", "--input", "0"]],
+                         ids=["parse", "simulate"])
+def test_parse_missing_file(command, path, capsys):
+    code, out, err = run([command[0], "--circuit", path, *command[1:]], capsys)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,close_stdout,want_code,want_err", [
+    (["matrix", "--gate", "QFT", "--d", "64"], True, 2, "error: [Errno 32] Broken pipe\n"),
+    (["verify", "--d-min", "2", "--d-max", "2", "--tolerance", "0"], False, 1, ""),
+], ids=["matrix-reader-gone", "verify-fails"])
+def test_exit_code_reaches_the_shell(argv, close_stdout, want_code, want_err):
+    proc = subprocess.Popen([sys.executable, "-m", "quditswap.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if close_stdout:  # the reader is gone before the first write
+        proc.stdout.close()
+        err, out = proc.stderr.read(), ""
+        proc.wait(timeout=60)
+    else:
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (want_code, want_err)
+    assert want_code != 1 or "FAIL" in out
 
 
 def test_usage_error_exit_code():

@@ -104,8 +104,10 @@ def test_max_entry_dist_examples():
 
 
 def test_perm_table_rejected_when_not_bijection():
-    with pytest.raises(ValueError, match="bijection"):
-        GateMatrix(perm=(0, 0))
+    # a repeat, labels out of range, and tables that are not vectors, the empty one too
+    for perm in ((0, 0), (-1, 0), (1, 2), [[0]], np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="perm table is not a bijection"):
+            GateMatrix(perm=perm)
 
 
 def test_gate_holds_exactly_one_form():

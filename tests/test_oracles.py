@@ -40,7 +40,7 @@ from quditswap.core import (
     max_entry_dist,
 )
 from quditswap.dsl import MNEMONICS, render
-from quditswap.gates import GateKind, cx_tilde, cz_d, qft, swap_ref
+from quditswap.gates import GateKind, cx_tilde, cz_d, identity_gate, qft, swap_ref
 from quditswap.verify import IDENTITIES, verify_all, verify_identity
 
 KINDS = list(GateKind)
@@ -474,6 +474,12 @@ def test_large_gates_hold_no_dense_matrix():
         assert len(held) == 1 and held[0].size <= 4096
 
 
+def test_table_check_peaks_near_the_table():
+    # the table, its checked copy and one bool per label: no sorted copy, no arange
+    g, peak = _peak_bytes(lambda: identity_gate(2, 20))
+    assert peak <= 2.5 * g.perm.nbytes
+
+
 def _state_file(path, amps):
     """Amplitude file in each form the reader takes: spaces, commas, comments, blank lines."""
     forms = ("{!r} {!r}\n", "{!r},{!r}  # amplitude\n", "  {!r} , {!r}\t\n")
@@ -692,7 +698,8 @@ def cli_input(draw):
 
 
 def _run_main(argv, qc, state):
-    """(exit code, stdout, stderr, warnings) of ``cli.main`` on the two texts as files."""
+    """(exit code, stdout, stderr, warnings, whether ``main`` returned the code rather
+    than argparse exiting) of ``cli.main`` on the two texts as files."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         files = {"@qc": Path(tmp) / "c.qc", "@state": Path(tmp) / "state.txt"}
@@ -702,10 +709,10 @@ def _run_main(argv, qc, state):
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             try:
-                code = cli.main([str(files.get(a, a)) for a in argv])
+                code, returned = cli.main([str(files.get(a, a)) for a in argv]), True
             except SystemExit as exc:  # argparse's own usage errors
-                code = exc.code
-    return code, out.getvalue(), err.getvalue(), caught
+                code, returned = exc.code, False
+    return code, out.getvalue(), err.getvalue(), caught, returned
 
 
 SIMULATE_STATE = ["simulate", "--circuit", "@qc", "--state", "@state"]
@@ -719,9 +726,11 @@ SIMULATE_STATE = ["simulate", "--circuit", "@qc", "--state", "@state"]
 @example((["simulate", "--circuit", "@qc", "--input", "0"], "dim 4097\nwires 1\nQFT 1\n", ""))
 def test_cli_main_keeps_the_exit_code_contract_on_drawn_input(drawn):
     argv, qc, state = drawn
-    code, out, err, caught = _run_main(argv, qc, state)
+    code, out, err, caught, returned = _run_main(argv, qc, state)
     assert code in (0, 1, 2) and "Traceback" not in err
     assert caught == []
+    if returned and code == 2:  # main's own usage error: one line, no output
+        assert out == "" and re.fullmatch(r"(parse )?error: [^\n]*\n", err)
     # exit 1 means a failed check, and nothing else does
     assert (code == 1) == (argv[0] == "verify" and ("FAIL" in out or '"passed": false' in out))
     assert out.isascii()
