@@ -16,37 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import DimensionError, GateMatrix, StateVector, _check_budget, _check_dim
-from .gates import (
-    GateKind,
-    cx_d,
-    cx_d_dag,
-    cx_tilde,
-    cz_d,
-    cz_d_dag,
-    identity_gate,
-    iqft,
-    qft,
-    swap_ref,
-    x_d,
-)
-
-_BUILDERS = {
-    GateKind.QFT: qft,
-    GateKind.IQFT: iqft,
-    GateKind.CZd: cz_d,
-    GateKind.CZdDag: cz_d_dag,
-    GateKind.CXTilde: cx_tilde,
-    GateKind.CXd: cx_d,
-    GateKind.CXdDag: cx_d_dag,
-    GateKind.Xd: x_d,
-    GateKind.SWAP: swap_ref,
-    GateKind.Identity: identity_gate,
-}
-
-
-def gate_matrix(kind: GateKind, d: int) -> GateMatrix:
-    """Canonical matrix of a gate kind at dimension d (control digit first)."""
-    return _BUILDERS[kind](d)
+from .gates import GateKind, gate_matrix
 
 
 @dataclass(frozen=True)

@@ -3,24 +3,27 @@
 Exit codes: 0 success (all checks passed), 1 verification failure,
 2 usage, parse or output error.  The commands raise; ``main`` alone turns
 a ``ParseError``, ``ValueError`` or ``OSError`` into one stderr line and
-exit 2.
+exit 2, and flushes stdout itself: a gone reader is an output error too.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 
 import numpy as np
 
-from .circuit import Circuit, _follow, gate_matrix, simulate
+from .circuit import Circuit, _follow, simulate
 from .core import StateVector, _check_budget, _check_digits, basis_state
 from .dsl import MNEMONICS, ParseError, parse, render
+from .gates import gate_matrix
 from .verify import check_d_range, verify_all
 
 AMP_EPSILON = 1e-12
@@ -210,10 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a gone reader fails here, not at interpreter exit
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
     except (ValueError, OSError) as exc:  # UnicodeDecodeError and DimensionError too
+        if isinstance(exc, BrokenPipeError):  # the flush at exit writes the rest to nowhere
+            with open(os.devnull, "w") as null, contextlib.suppress(OSError):
+                os.dup2(null.fileno(), sys.stdout.fileno())  # a captured stdout has no fileno
         print(f"error: {exc}", file=sys.stderr)
     return 2
 

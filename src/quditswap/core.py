@@ -136,10 +136,6 @@ class GateMatrix:
         return GateMatrix(self.matrix.conj().T)
 
 
-def identity_matrix(dim: int) -> GateMatrix:
-    return GateMatrix(perm=np.arange(dim))
-
-
 def _check_digits(digits: tuple[int, ...], d: int) -> None:
     for x in digits:
         if not 0 <= x < d:
@@ -160,15 +156,21 @@ def max_entry_dist(a: GateMatrix, b: GateMatrix) -> float:
     """Max absolute entrywise deviation; exact equality metric, no phase slack.
 
     Two tables are compared exactly: 0.0 when equal, else 1.0, the deviation
-    of their 0/1 matrices.  A table against any other form reads the other's
-    entries in place: |entry| off the table's support, |entry - 1| on it.
+    of their 0/1 matrices, and two phase gates as vectors.  A table against
+    any other form reads the other's entries in place: |entry| off the
+    table's support, |entry - 1| on it.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.perm is not None and b.perm is not None:
         return 0.0 if np.array_equal(a.perm, b.perm) else 1.0
+    if a.phases is not None and b.phases is not None:
+        return float(np.max(np.abs(a.phases - b.phases)))
     if a.perm is not None or b.perm is not None:
         table, other = (a, b) if a.perm is not None else (b, a)
+        if other.phases is not None:  # read the diagonal; the table's 1s off it meet 0s
+            on_diag = table.perm == np.arange(table.dim)
+            return float(max(np.abs(other.phases - on_diag).max(), 0.0 if on_diag.all() else 1.0))
         dense = other.entries
         support = (table.perm, np.arange(table.dim))
         dist = np.abs(dense)

@@ -5,7 +5,8 @@ qudits of dimension d.  For two-qudit gates the first label digit is the
 control and the second the target; placing a gate on other wires (or with the
 control below the target) is the job of circuit embedding, never of the
 constructor.  Each builder checks its d^k entries against the one budget
-(``core._check_budget``) before it allocates them.
+(``core._check_budget``) before it allocates them.  The QFT and the phase
+gates index one vector of roots of unity; ``gate_matrix`` builds any kind.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import enum
 
 import numpy as np
 
-from .core import GateMatrix, _check_budget, identity_matrix
+from .core import GateMatrix, _check_budget
 
 
 class GateKind(enum.Enum):
@@ -44,12 +45,16 @@ def _digits(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.arange(d * d), d)
 
 
+def _powers(d: int, sign: int) -> np.ndarray:
+    """e^{sign i 2pi a b / d} at each two-digit label (a, b), read from one vector of d roots."""
+    a, b = _digits(d)
+    phase = sign * 2.0 * np.pi * np.arange(d) / d  # conjugating sign +1 would flip signed zeros
+    return (np.cos(phase) + 1j * np.sin(phase))[(a * b) % d]
+
+
 def qft(d: int) -> GateMatrix:
     """Quantum Fourier transform: entry (k, x) = e^{i 2pi x k / d} / sqrt(d)."""
-    k, x = _digits(d)
-    # reduce the product mod d before the trig call to bound the argument
-    phase = 2.0 * np.pi * ((k * x) % d) / d
-    return GateMatrix(((np.cos(phase) + 1j * np.sin(phase)) / np.sqrt(d)).reshape(d, d))
+    return GateMatrix((_powers(d, +1) / np.sqrt(d)).reshape(d, d))
 
 
 def iqft(d: int) -> GateMatrix:
@@ -57,20 +62,14 @@ def iqft(d: int) -> GateMatrix:
     return qft(d).dagger()
 
 
-def _cphase(d: int, sign: int) -> GateMatrix:
-    x, y = _digits(d)
-    phase = sign * 2.0 * np.pi * ((x * y) % d) / d
-    return GateMatrix(phases=np.cos(phase) + 1j * np.sin(phase))
-
-
 def cz_d(d: int) -> GateMatrix:
     """Controlled phase: multiplies basis state (x, y) by e^{i 2pi x y / d}."""
-    return _cphase(d, +1)
+    return GateMatrix(phases=_powers(d, +1))
 
 
 def cz_d_dag(d: int) -> GateMatrix:
     """Inverse controlled phase, e^{-i 2pi x y / d}."""
-    return _cphase(d, -1)
+    return GateMatrix(phases=_powers(d, -1))
 
 
 def cx_tilde(d: int) -> GateMatrix:
@@ -112,4 +111,23 @@ def swap_ref(d: int) -> GateMatrix:
 def identity_gate(d: int, wires: int = 1) -> GateMatrix:
     """Identity on the given number of qudit wires."""
     _check_budget(d, wires)
-    return identity_matrix(d**wires)
+    return GateMatrix(perm=np.arange(d**wires))
+
+
+_BUILDERS = {
+    GateKind.QFT: qft,
+    GateKind.IQFT: iqft,
+    GateKind.CZd: cz_d,
+    GateKind.CZdDag: cz_d_dag,
+    GateKind.CXTilde: cx_tilde,
+    GateKind.CXd: cx_d,
+    GateKind.CXdDag: cx_d_dag,
+    GateKind.Xd: x_d,
+    GateKind.SWAP: swap_ref,
+    GateKind.Identity: identity_gate,
+}
+
+
+def gate_matrix(kind: GateKind, d: int) -> GateMatrix:
+    """Canonical matrix of a gate kind at dimension d (control digit first)."""
+    return _BUILDERS[kind](d)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, identity_matrix
+from .core import DimensionError
 from .circuit import (
     Circuit,
     GateOp,
@@ -29,7 +29,7 @@ from .circuit import (
     swap_circuit_alt,
     table_dist,
 )
-from .gates import GateKind, cx_tilde, swap_ref
+from .gates import GateKind, cx_tilde, identity_gate, swap_ref
 
 DENSE_TOL = 1e-10
 PERM_TOL = 0.0
@@ -92,7 +92,7 @@ IDENTITIES = {
     # the negated-sum gate squared is the identity
     "self_inverse": (
         lambda d: _table_dev(
-            identity_matrix(d * d), Circuit(d, 2, (GateOp(GateKind.CXTilde, (1, 2)),) * 2)
+            identity_gate(d, 2), Circuit(d, 2, (GateOp(GateKind.CXTilde, (1, 2)),) * 2)
         ),
         _exact,
     ),

@@ -65,6 +65,22 @@ def gate_entries(kind: GateKind, d: int) -> np.ndarray:
     return np.diag([np.exp(sign * 2j * np.pi * x * y / d) for x in range(d) for y in range(d)])
 
 
+def root_power_entries(kind: GateKind, d: int) -> np.ndarray:
+    """QFT, IQFT, CZ or CZD with one cos and one sin per entry: e^{sign i 2pi ((a b) % d) / d}.
+
+    The QFT's (d, d) matrix (the IQFT its conjugate transpose) or the d^2
+    phases of CZ and CZD, the sign inside the angle.  The package's
+    root-vector builders must match it bit for bit.
+    """
+    if kind is GateKind.IQFT:
+        return root_power_entries(GateKind.QFT, d).conj().T
+    a, b = np.divmod(np.arange(d * d), d)
+    sign = -1 if kind is GateKind.CZdDag else 1
+    phase = sign * 2.0 * np.pi * ((a * b) % d) / d
+    entries = np.cos(phase) + 1j * np.sin(phase)
+    return (entries / np.sqrt(d)).reshape(d, d) if kind is GateKind.QFT else entries
+
+
 def flat_to_digits(flat: int, d: int, n: int) -> tuple[int, ...]:
     """Base-d digits of an n-digit flat label, most significant first."""
     out = []

@@ -25,9 +25,9 @@ from quditswap.circuit import (
     swap_circuit,
     swap_circuit_alt,
 )
-from quditswap.core import StateVector, identity_matrix, max_entry_dist
+from quditswap.core import StateVector, max_entry_dist
 from quditswap.dsl import ParseError, parse, render
-from quditswap.gates import GateKind, cx_tilde, swap_ref
+from quditswap.gates import GateKind, cx_tilde, identity_gate, swap_ref
 
 
 def report(name, ok, detail=""):
@@ -89,10 +89,10 @@ def test_criterion_05_self_inverse():
     worst_dense = 0.0
     for d in range(2, 33):
         perm_sq = circuit_unitary(Circuit(d, 2, (GateOp(GateKind.CXTilde, (1, 2)),) * 2))
-        worst_perm = max(worst_perm, max_entry_dist(perm_sq, identity_matrix(d * d)))
+        worst_perm = max(worst_perm, max_entry_dist(perm_sq, identity_gate(d, 2)))
         ops = cx_tilde_decomposition(d).ops
         dense_sq = circuit_unitary(Circuit(d, 2, ops + ops))
-        worst_dense = max(worst_dense, max_entry_dist(dense_sq, identity_matrix(d * d)))
+        worst_dense = max(worst_dense, max_entry_dist(dense_sq, identity_gate(d, 2)))
     report(
         "5 self-inverse, d=2..32, perm exact / dense <= 1e-10",
         worst_perm == 0 and worst_dense <= 1e-10,

@@ -20,10 +20,9 @@ from quditswap.core import (
     GateMatrix,
     StateVector,
     basis_state,
-    identity_matrix,
     max_entry_dist,
 )
-from quditswap.gates import GateKind, cx_tilde, swap_ref
+from quditswap.gates import GateKind, cx_tilde, identity_gate, swap_ref
 from quditswap.verify import verify_all, verify_identity
 
 from oracles import apply, kron, matmul
@@ -113,8 +112,8 @@ def test_embed_dense_gate_on_either_wire():
     d = 3
     top = embed(GateOp(GateKind.QFT, (1,)), d, 2)
     bottom = embed(GateOp(GateKind.QFT, (2,)), d, 2)
-    assert max_entry_dist(top, kron(qft(d), identity_matrix(d))) <= 1e-15
-    assert max_entry_dist(bottom, kron(identity_matrix(d), qft(d))) <= 1e-15
+    assert max_entry_dist(top, kron(qft(d), identity_gate(d))) <= 1e-15
+    assert max_entry_dist(bottom, kron(identity_gate(d), qft(d))) <= 1e-15
 
 
 def test_embed_budget():
@@ -132,7 +131,7 @@ def test_simulate_register_wider_than_unitary_budget():
 
 
 def test_circuit_unitary_empty_and_single():
-    assert max_entry_dist(circuit_unitary(Circuit(3, 2)), identity_matrix(9)) == 0
+    assert max_entry_dist(circuit_unitary(Circuit(3, 2)), identity_gate(3, 2)) == 0
     op = GateOp(GateKind.CXd, (1, 2))
     c = Circuit(3, 2, (op,))
     assert max_entry_dist(circuit_unitary(c), embed(op, 3, 2)) == 0
@@ -226,7 +225,7 @@ def test_decomposition_reproduces_cx_tilde(d):
 def test_decompositions_compose_to_identity():
     for d in (2, 5, 9):
         c = Circuit(d, 2, cx_tilde_decomposition(d).ops + cx_tilde_decomposition_alt(d).ops)
-        assert max_entry_dist(circuit_unitary(c), identity_matrix(d * d)) <= 1e-10
+        assert max_entry_dist(circuit_unitary(c), identity_gate(d, 2)) <= 1e-10
 
 
 def test_decomposition_d2_variants_agree():
@@ -303,7 +302,7 @@ def test_builder_unitaries_are_unitary(d):
         partial_swap_circuit,
     ):
         u = circuit_unitary(builder(d))
-        assert max_entry_dist(matmul(u.dagger(), u), identity_matrix(d * d)) <= 1e-10
+        assert max_entry_dist(matmul(u.dagger(), u), identity_gate(d, 2)) <= 1e-10
 
 
 def test_simulate_dimension_mismatch():

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -196,12 +199,23 @@ def test_parse_missing_file(command, path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_PIPE_GONE = "error: [Errno 32] Broken pipe\n"
+
+
+# verify's output fits stdout's buffer, so only the flush at the end meets the
+# gone reader; a failed check whose output cannot be written is an output error
 @pytest.mark.parametrize("argv,close_stdout,want_code,want_err", [
-    (["matrix", "--gate", "QFT", "--d", "64"], True, 2, "error: [Errno 32] Broken pipe\n"),
+    (["matrix", "--gate", "QFT", "--d", "64"], True, 2, _PIPE_GONE),
+    (["verify", "--d-min", "2", "--d-max", "16"], True, 2, _PIPE_GONE),
+    (["verify", "--d-min", "2", "--d-max", "2"], True, 2, _PIPE_GONE),
+    (["verify", "--d-min", "2", "--d-max", "2", "--tolerance", "0"], True, 2, _PIPE_GONE),
     (["verify", "--d-min", "2", "--d-max", "2", "--tolerance", "0"], False, 1, ""),
-], ids=["matrix-reader-gone", "verify-fails"])
+], ids=["matrix-reader-gone", "verify-reader-gone", "verify-short-reader-gone",
+        "verify-fails-reader-gone", "verify-fails"])
 def test_exit_code_reaches_the_shell(argv, close_stdout, want_code, want_err):
-    proc = subprocess.Popen([sys.executable, "-m", "quditswap.cli", *argv],
+    # stdout buffered, as in a shell: PYTHONUNBUFFERED would write each line at once
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "quditswap.cli", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     if close_stdout:  # the reader is gone before the first write
         proc.stdout.close()
@@ -211,6 +225,20 @@ def test_exit_code_reaches_the_shell(argv, close_stdout, want_code, want_err):
         out, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (want_code, want_err)
     assert want_code != 1 or "FAIL" in out
+
+
+class _GoneReader(io.StringIO):
+    """A captured stdout, without a file descriptor, whose reader has gone."""
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_gone_reader_of_a_captured_stdout_exits_2(capsys):
+    # the flush in main meets the gone reader; stdout has no fileno to point elsewhere
+    with contextlib.redirect_stdout(_GoneReader()):
+        code = main(["verify", "--d-min", "2", "--d-max", "2"])
+    assert (code, capsys.readouterr().err) == (2, _PIPE_GONE)
 
 
 def test_usage_error_exit_code():

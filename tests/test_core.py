@@ -9,10 +9,9 @@ from quditswap.core import (
     GateMatrix,
     StateVector,
     basis_state,
-    identity_matrix,
     max_entry_dist,
 )
-from quditswap.gates import GateKind, qft, swap_ref, x_d
+from quditswap.gates import GateKind, identity_gate, qft, swap_ref, x_d
 
 from oracles import apply, flat_to_digits, kron
 
@@ -48,14 +47,14 @@ def test_label_round_trip(d, n):
 
 
 def test_kron_identity():
-    i2 = identity_matrix(2)
-    assert max_entry_dist(kron(i2, i2), identity_matrix(4)) == 0
+    i2 = identity_gate(2)
+    assert max_entry_dist(kron(i2, i2), identity_gate(2, 2)) == 0
 
 
 def test_kron_wire_ordering():
     # pauli-X on the more significant digit swaps the two 2x2 blocks
     x = GateMatrix(perm=(1, 0))
-    m = kron(x, identity_matrix(2))
+    m = kron(x, identity_gate(2))
     assert tuple(m.perm) == (2, 3, 0, 1)
     expected = np.zeros((4, 4))
     expected[2, 0] = expected[3, 1] = expected[0, 2] = expected[1, 3] = 1
@@ -96,11 +95,11 @@ def test_apply_swap_on_basis():
 def test_max_entry_dist_examples():
     m = qft(3)
     assert max_entry_dist(m, m) == 0
-    i2 = identity_matrix(2)
+    i2 = identity_gate(2)
     neg = GateMatrix(-i2.entries)
     assert max_entry_dist(i2, neg) == 2
     with pytest.raises(DimensionError):
-        max_entry_dist(i2, identity_matrix(3))
+        max_entry_dist(i2, identity_gate(3))
 
 
 def test_perm_table_rejected_when_not_bijection():

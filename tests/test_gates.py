@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quditswap.circuit import Circuit, GateOp, circuit_unitary
-from quditswap.core import MAX_ENTRIES, DimensionError, identity_matrix, max_entry_dist
+from quditswap.core import MAX_ENTRIES, DimensionError, max_entry_dist
 from quditswap.gates import (
     GateKind,
     cx_d,
@@ -56,7 +56,7 @@ def test_iqft_entries():
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_iqft_inverts_qft(d):
     prod = matmul(iqft(d), qft(d))
-    assert max_entry_dist(prod, identity_matrix(d)) <= 1e-12
+    assert max_entry_dist(prod, identity_gate(d)) <= 1e-12
 
 
 def test_iqft_d2_self_inverse():
@@ -84,7 +84,7 @@ def test_cz_dag_phases():
 @pytest.mark.parametrize("d", [2, 3, 7])
 def test_cz_dag_inverts_cz(d):
     prod = matmul(cz_d_dag(d), cz_d(d))
-    assert max_entry_dist(prod, identity_matrix(d * d)) <= 1e-15
+    assert max_entry_dist(prod, identity_gate(d, 2)) <= 1e-15
 
 
 @pytest.mark.parametrize("d", range(2, 33))
@@ -119,13 +119,13 @@ def test_cx_d_mappings():
 def test_cx_d_dag_mappings():
     for d in (2, 3, 6):
         prod = matmul(cx_d_dag(d), cx_d(d))
-        assert max_entry_dist(prod, identity_matrix(d * d)) == 0
+        assert max_entry_dist(prod, identity_gate(d, 2)) == 0
     assert cx_d_dag(3).perm[2 * 3 + 1] == 2 * 3 + 2
     assert max_entry_dist(cx_d_dag(2), cx_tilde(2)) == 0
 
 
 def test_x_d_is_identity_at_d2():
-    assert max_entry_dist(x_d(2), identity_matrix(2)) == 0
+    assert max_entry_dist(x_d(2), identity_gate(2)) == 0
 
 
 def test_x_d_d3():
@@ -134,7 +134,7 @@ def test_x_d_d3():
 
 @pytest.mark.parametrize("d", range(2, 33))
 def test_x_d_involution(d):
-    assert max_entry_dist(matmul(x_d(d), x_d(d)), identity_matrix(d)) == 0
+    assert max_entry_dist(matmul(x_d(d), x_d(d)), identity_gate(d)) == 0
 
 
 def test_swap_ref_d2():
@@ -147,7 +147,7 @@ def test_swap_ref_properties(d):
     g = swap_ref(d)
     for x in range(d):
         assert g.perm[x * d + x] == x * d + x
-    assert max_entry_dist(matmul(g, g), identity_matrix(d * d)) == 0
+    assert max_entry_dist(matmul(g, g), identity_gate(d, 2)) == 0
 
 
 @pytest.mark.parametrize("d", range(2, 33))
@@ -155,7 +155,7 @@ def test_all_gates_unitary(d):
     for builder in ALL_BUILDERS:
         g = builder(d)
         prod = matmul(g.dagger(), g)
-        assert max_entry_dist(prod, identity_matrix(g.dim)) <= 1e-10
+        assert max_entry_dist(prod, identity_gate(g.dim)) <= 1e-10
 
 
 @pytest.mark.parametrize("d", range(2, 33))
@@ -163,7 +163,7 @@ def test_cx_tilde_involution_exact(d):
     g = cx_tilde(d)
     prod = matmul(g, g)
     assert tuple(prod.perm) == tuple(range(d * d))
-    assert max_entry_dist(prod, identity_matrix(d * d)) == 0
+    assert max_entry_dist(prod, identity_gate(d, 2)) == 0
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from quditswap import circuit, cli
+from quditswap import cli, gates
 from quditswap.circuit import (
     Circuit,
     GateOp,
@@ -36,11 +36,10 @@ from quditswap.core import (
     GateMatrix,
     StateVector,
     basis_state,
-    identity_matrix,
     max_entry_dist,
 )
 from quditswap.dsl import MNEMONICS, render
-from quditswap.gates import GateKind, cx_tilde, cz_d, identity_gate, qft, swap_ref
+from quditswap.gates import GateKind, cx_tilde, cz_d, cz_d_dag, identity_gate, qft, swap_ref
 from quditswap.verify import IDENTITIES, verify_all, verify_identity
 
 KINDS = list(GateKind)
@@ -193,6 +192,37 @@ def test_dense_against_table_matches_oracle(drawn):
         assert (row == perm[col]) == (case == "on")
 
 
+def _phase_vectors(dim):
+    """Phase vectors of ``dim`` entries; 1, -1 and the signed zeros drawn often."""
+    entry = st.sampled_from([1, -1, 1j, 0j, complex(-0.0, -0.0), 1 + 1e-12j]) | st.complex_numbers(
+        max_magnitude=1, allow_nan=False, allow_infinity=False)
+    return st.lists(entry, min_size=dim, max_size=dim).map(lambda v: GateMatrix(phases=v))
+
+
+@st.composite
+def phase_and_other(draw):
+    """A phase gate and a second phase gate or a table of its size."""
+    dim = draw(st.integers(1, 12))
+    tables = st.just(list(range(dim))) | st.permutations(range(dim))
+    other = draw(_phase_vectors(dim) | tables.map(lambda p: GateMatrix(perm=p)))
+    return draw(_phase_vectors(dim)), other
+
+
+@given(phase_and_other())
+@example((GateMatrix(phases=[0.5, 0.5]), GateMatrix(perm=[1, 0])))  # the off-diagonal 1s differ most
+def test_phase_compare_matches_the_dense_compare_bit_for_bit(drawn):
+    for a, b in (drawn, drawn[::-1]):
+        want = max_entry_dist(GateMatrix(a.entries), GateMatrix(b.entries))
+        assert max_entry_dist(a, b).hex() == want.hex()
+
+
+def test_phase_compare_peaks_near_the_vectors():
+    cz = cz_d(64)
+    for a, b in ((cz, cz_d_dag(64)), (cz, identity_gate(64, 2)), (cx_tilde(64), cz)):
+        _, peak = _peak_bytes(lambda: max_entry_dist(a, b))
+        assert peak <= 3 * cz.phases.nbytes  # 4,096 phases: no 4,096 x 4,096 matrix
+
+
 def _peak_bytes(fn):
     """(result, tracemalloc peak) of one call."""
     tracemalloc.start()
@@ -297,9 +327,9 @@ def test_table_dist_of_a_permutation_circuit_needs_only_the_state_budget():
     # 2^13 labels are over the unitary budget of 4096 but well within the state's
     d, n = 2, 13
     c = Circuit(d, n, (GateOp(GateKind.CXd, (1, 2)),) * 2)
-    assert table_dist(c, identity_matrix(d**n)) == 0.0
+    assert table_dist(c, identity_gate(d, n)) == 0.0
     once = Circuit(d, n, c.ops[:1])
-    assert table_dist(once, identity_matrix(d**n)) == 1.0
+    assert table_dist(once, identity_gate(d, n)) == 1.0
 
 
 @given(st.integers(2, 5))
@@ -315,6 +345,16 @@ def test_gate_forms_match_oracle(d):
         else:
             assert np.max(np.abs(g.entries - oracles.gate_entries(kind, d))) <= 1e-12
         assert np.array_equal(g.dagger().entries, g.entries.conj().T)
+
+
+@pytest.mark.parametrize("d", [*range(2, 65), 255, 256])
+def test_root_vector_builders_match_the_per_entry_formula_bit_for_bit(d):
+    # compared as int64 words, so that a zero's sign counts
+    for kind in (GateKind.QFT, GateKind.IQFT, GateKind.CZd, GateKind.CZdDag):
+        g = gate_matrix(kind, d)
+        got = np.ascontiguousarray(g.matrix if g.matrix is not None else g.phases)
+        want = np.ascontiguousarray(oracles.root_power_entries(kind, d))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), kind
 
 
 @given(st.integers(2, 30).flatmap(lambda n: st.tuples(
@@ -371,7 +411,7 @@ def _one_exchange(build):
 @pytest.mark.parametrize("d", [2, 3, 7, 64])
 def test_label_proofs_and_sampled_checks_fail_on_one_exchanged_entry(
         monkeypatch, name, sampled, kind, d):
-    monkeypatch.setitem(circuit._BUILDERS, kind, _one_exchange(circuit._BUILDERS[kind]))
+    monkeypatch.setitem(gates._BUILDERS, kind, _one_exchange(gates._BUILDERS[kind]))
     r = verify_identity(name, d)
     assert r.max_dev == 1.0 and not r.passed
     assert sampled(d) > 0.0
@@ -384,7 +424,7 @@ _DENSE_ROWS = {
         lambda d: (cx_tilde_decomposition(d), cx_tilde_decomposition_alt(d)), cx_tilde),
     "self_inverse": (
         lambda d: (Circuit(d, 2, _ops(d, (GateKind.CXTilde, (1, 2)), (GateKind.CXTilde, (1, 2)))),),
-        lambda d: identity_matrix(d * d)),
+        lambda d: identity_gate(d, 2)),
     "asymmetric_swap": (lambda d: (asymmetric_swap_circuit(d),), swap_ref),
     "random_states": (lambda d: (swap_circuit(d),), swap_ref),
 }
@@ -402,7 +442,7 @@ def _oracle_dev(name, d):
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
 @pytest.mark.parametrize("d", [2, 3, 7])
 def test_every_row_fails_exactly_when_the_slow_oracle_does(monkeypatch, kind, d):
-    monkeypatch.setitem(circuit._BUILDERS, kind, _one_exchange(circuit._BUILDERS[kind]))
+    monkeypatch.setitem(gates._BUILDERS, kind, _one_exchange(gates._BUILDERS[kind]))
     failed = []
     for name in IDENTITIES:
         r = verify_identity(name, d)

@@ -85,12 +85,13 @@ def test_self_inverse_implies_self_adjoint():
 
 def test_dense_self_inverse():
     from quditswap.circuit import Circuit, circuit_unitary, cx_tilde_decomposition
-    from quditswap.core import identity_matrix, max_entry_dist
+    from quditswap.core import max_entry_dist
+    from quditswap.gates import identity_gate
 
     d = 5
     ops = cx_tilde_decomposition(d).ops
     squared = Circuit(d, 2, ops + ops)
-    assert max_entry_dist(circuit_unitary(squared), identity_matrix(d * d)) <= 1e-10
+    assert max_entry_dist(circuit_unitary(squared), identity_gate(d, 2)) <= 1e-10
 
 
 def test_delta_sum_values():
