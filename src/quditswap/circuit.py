@@ -188,10 +188,9 @@ def table_dist(c: Circuit, table: GateMatrix) -> float:
         landed = _run(c, np.arange(d**n))[:, 0]  # entry i: the label that lands on i
         return 0.0 if np.array_equal(table.perm[landed], np.arange(d**n)) else 1.0
     blocks, base, _, col = _blocks(c)
-    src = np.argsort(table.perm)  # the column of each row's 1
-    rows = np.flatnonzero(base[src] == base)  # the rows whose 1 lies in their own block
-    blocks[rows, col[src[rows]]] -= 1
-    return max(float(np.abs(blocks).max()), 0.0 if rows.size == d**n else 1.0)
+    own = base[table.perm] == base  # the columns whose 1 lies in their own block
+    blocks[table.perm[own], col[own]] -= 1
+    return max(float(np.abs(blocks).max()), 0.0 if own.all() else 1.0)
 
 
 def simulate(c: Circuit, s: StateVector) -> StateVector:

@@ -27,7 +27,7 @@ from .gates import gate_matrix
 from .verify import check_d_range, verify_all
 
 AMP_EPSILON = 1e-12
-_ROWS_PER_WRITE = 16384  # text rows per % format and write, in place of one format per row
+_NUMBERS_PER_WRITE = 3 * 4096  # per % format and write: a d = 64 matrix row, 4096 amplitudes
 
 
 def cmd_verify(args) -> int:
@@ -40,10 +40,8 @@ def cmd_verify(args) -> int:
     reports = verify_all(args.d_min, args.d_max)
     if args.tolerance is not None:
         reports = [dataclasses.replace(r, tolerance=args.tolerance) for r in reports]
-    failures = 0
+    failures = sum(not r.passed for r in reports)
     for r in reports:
-        if not r.passed:
-            failures += 1
         if args.json:
             print(json.dumps({
                 "identity": r.identity_name,
@@ -53,16 +51,10 @@ def cmd_verify(args) -> int:
                 "passed": bool(r.passed),
             }))
         else:
-            status = "PASS" if r.passed else "FAIL"
-            print(
-                f"{r.identity_name:<16} d={r.d:<3} max_dev={r.max_dev:.3e} "
-                f"tol={r.tolerance:.1e} {status}"
-            )
+            print(f"{r.identity_name:<16} d={r.d:<3} max_dev={r.max_dev:.3e} "
+                  f"tol={r.tolerance:.1e} {'PASS' if r.passed else 'FAIL'}")
     summary = f"{len(reports) - failures}/{len(reports)} identities passed"
-    if args.json:
-        print(json.dumps({"summary": summary, "failures": failures}))
-    else:
-        print(summary)
+    print(json.dumps({"summary": summary, "failures": failures}) if args.json else summary)
     return 0 if failures == 0 else 1
 
 
@@ -71,14 +63,32 @@ def cmd_matrix(args) -> int:
     if kind is None:
         raise ValueError(f"unknown gate mnemonic {args.gate!r}")
     check_d_range(args.d, args.d)
-    m = gate_matrix(kind, args.d).entries
-    if args.format == "json":
-        rows = [[[float(v.real), float(v.imag)] for v in row] for row in m]
-        print(json.dumps(rows))
-    else:
-        for row in m:
-            print(";".join(f"{v.real:.17g},{v.imag:.17g}" for v in row))
+    _write_matrix(gate_matrix(kind, args.d).entries, args.format)
     return 0
+
+
+def _write(head: str, row: str, sep: str, tail: str, *cols: np.ndarray) -> None:
+    """Write ``head``, ``row % numbers`` per row of ``cols`` joined by ``sep``, then ``tail``.
+
+    A row's numbers are its entries of the cols in turn, one col after the
+    other; they become Python objects ``_NUMBERS_PER_WRITE`` at a time.
+    """
+    step = max(1, _NUMBERS_PER_WRITE // (len(cols) * math.prod(cols[0].shape[1:])))
+    sys.stdout.write(head)
+    for lo in range(0, len(cols[0]), step):
+        parts = [c[lo:lo + step] for c in cols]
+        flat = [None] * (len(cols) * parts[0].size)
+        for k, part in enumerate(parts):
+            flat[k::len(cols)] = part.reshape(-1).tolist()  # a strided 1-D col stays a view
+        sys.stdout.write(sep * (lo > 0) + sep.join([row] * len(parts[0])) % tuple(flat))
+    sys.stdout.write(tail)
+
+
+def _write_matrix(m: np.ndarray, fmt: str) -> None:
+    """Rows of (re, im) pairs: ``re,im`` joined by ``;`` per line, or a JSON list of lists."""
+    form = (("[", "[" + ", ".join(["[%r, %r]"] * m.shape[1]) + "]", ", ", "]\n") if fmt == "json"
+            else ("", ";".join(["%.17g,%.17g"] * m.shape[1]) + "\n", "", ""))
+    _write(*form, m.real, m.imag)
 
 
 def _floats(tokens: list[str]) -> np.ndarray:
@@ -148,25 +158,16 @@ def cmd_simulate(args) -> int:
 
     if state is None:  # tables move a label to a label: follow it, allocate no state
         label = _follow(circ, np.array(digits)[:, None])[:, 0].tolist()
-        if args.json:
-            print(json.dumps({"label": label}))
-        else:
-            print(",".join(map(str, label)))
+        print(json.dumps({"label": label}) if args.json else ",".join(map(str, label)))
         return 0
 
     out = simulate(circ, state)  # an amplitude that overflows raises ValueError
     idx = np.flatnonzero(np.abs(out.amps) >= AMP_EPSILON)
     kept = out.amps[idx]
-    if args.json:
-        rows = zip(idx.tolist(), kept.real.tolist(), kept.imag.tolist())
-        entries = [{"index": i, "re": re, "im": im} for i, re, im in rows]
-        print(json.dumps({"amplitudes": entries}))
-        return 0
-    for lo in range(0, idx.size, _ROWS_PER_WRITE):  # Python objects for one batch at a time
-        i, amp = idx[lo:lo + _ROWS_PER_WRITE], kept[lo:lo + _ROWS_PER_WRITE]
-        flat = [None] * (3 * i.size)
-        flat[0::3], flat[1::3], flat[2::3] = i.tolist(), amp.real.tolist(), amp.imag.tolist()
-        sys.stdout.write("%d %.17g %.17g\n" * i.size % tuple(flat))
+    # %r is the float repr that json.dumps writes
+    form = (('{"amplitudes": [', '{"index": %d, "re": %r, "im": %r}', ", ", "]}\n") if args.json
+            else ("", "%d %.17g %.17g\n", "", ""))
+    _write(*form, idx, kept.real, kept.imag)
     return 0
 
 

@@ -121,10 +121,9 @@ class GateMatrix:
         """Dense complex128 matrix; built on each read unless the gate is dense."""
         if self.matrix is not None:
             return self.matrix
-        if self.phases is not None:
-            return np.diag(self.phases)
+        rows, values = _column_entries(self)
         m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        m[self.perm, np.arange(self.dim)] = 1.0
+        m[rows, np.arange(self.dim)] = values
         return m
 
     def dagger(self) -> "GateMatrix":
@@ -152,28 +151,33 @@ def basis_state(digits: tuple[int, ...], d: int) -> StateVector:
     return StateVector(d, n, amps)
 
 
+def _column_entries(g: GateMatrix) -> tuple[np.ndarray, np.ndarray | float] | None:
+    """(row, value) of each column's one entry: a table's 1s, a phase gate's diagonal."""
+    if g.matrix is None:
+        return (g.perm, 1.0) if g.perm is not None else (np.arange(g.dim), g.phases)
+    return None
+
+
 def max_entry_dist(a: GateMatrix, b: GateMatrix) -> float:
     """Max absolute entrywise deviation; exact equality metric, no phase slack.
 
-    Two tables are compared exactly: 0.0 when equal, else 1.0, the deviation
-    of their 0/1 matrices, and two phase gates as vectors.  A table against
-    any other form reads the other's entries in place: |entry| off the
-    table's support, |entry - 1| on it.
+    A table or a phase gate holds one entry per column.  Two such gates
+    compare column by column, so two tables give exactly 0.0 or 1.0, and
+    against a dense matrix they read its entries in place.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.perm is not None and b.perm is not None:
-        return 0.0 if np.array_equal(a.perm, b.perm) else 1.0
-    if a.phases is not None and b.phases is not None:
-        return float(np.max(np.abs(a.phases - b.phases)))
-    if a.perm is not None or b.perm is not None:
-        table, other = (a, b) if a.perm is not None else (b, a)
-        if other.phases is not None:  # read the diagonal; the table's 1s off it meet 0s
-            on_diag = table.perm == np.arange(table.dim)
-            return float(max(np.abs(other.phases - on_diag).max(), 0.0 if on_diag.all() else 1.0))
-        dense = other.entries
-        support = (table.perm, np.arange(table.dim))
+    ea, eb = _column_entries(a), _column_entries(b)
+    if ea is None and eb is None:
+        return float(np.max(np.abs(a.entries - b.entries)))
+    if ea is None or eb is None:  # |entry - value| on each column's entry, |entry| off it
+        (rows, values), dense = (ea, b.matrix) if ea is not None else (eb, a.matrix)
+        entry = (rows, np.arange(rows.size))
         dist = np.abs(dense)
-        dist[support] = np.abs(dense[support] - 1)
-        return float(dist.max())
-    return float(np.max(np.abs(a.entries - b.entries)))
+        dist[entry] = np.abs(dense[entry] - values)
+        return float(dist.max(initial=0.0))
+    (ra, va), (rb, vb) = ea, eb
+    same = ra == rb  # where the rows differ, each entry meets a 0; two tables give scalars
+    on = np.broadcast_to(np.abs(va - vb), same.shape).max(where=same, initial=0.0)
+    off = np.broadcast_to(np.maximum(np.abs(va), np.abs(vb)), same.shape)
+    return float(max(on, off.max(where=~same, initial=0.0)))

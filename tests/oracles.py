@@ -215,6 +215,13 @@ def format_amplitudes(amps: np.ndarray, as_json: bool) -> str:
     return "".join(f"{e['index']} {e['re']:.17g} {e['im']:.17g}\n" for e in entries)
 
 
+def format_matrix(m: np.ndarray, fmt: str) -> str:
+    """Output of ``quditswap matrix``: one list, or one f-string, per entry."""
+    if fmt == "json":
+        return json.dumps([[[float(v.real), float(v.imag)] for v in row] for row in m]) + "\n"
+    return "".join(";".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) + "\n" for row in m)
+
+
 def load_state(path, d: int, n: int) -> StateVector:
     """Amplitude file reader of ``quditswap simulate``, one line and one complex at a time."""
     amps = []

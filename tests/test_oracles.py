@@ -192,24 +192,48 @@ def test_dense_against_table_matches_oracle(drawn):
         assert (row == perm[col]) == (case == "on")
 
 
+# 1, -1 and the signed zeros drawn often
+_ENTRY = st.sampled_from([1, -1, 1j, 0j, complex(-0.0, -0.0), 1 + 1e-12j]) | st.complex_numbers(
+    max_magnitude=1, allow_nan=False, allow_infinity=False)
+
+
 def _phase_vectors(dim):
-    """Phase vectors of ``dim`` entries; 1, -1 and the signed zeros drawn often."""
-    entry = st.sampled_from([1, -1, 1j, 0j, complex(-0.0, -0.0), 1 + 1e-12j]) | st.complex_numbers(
-        max_magnitude=1, allow_nan=False, allow_infinity=False)
-    return st.lists(entry, min_size=dim, max_size=dim).map(lambda v: GateMatrix(phases=v))
+    """Phase vectors of ``dim`` entries."""
+    return st.lists(_ENTRY, min_size=dim, max_size=dim).map(lambda v: GateMatrix(phases=v))
+
+
+@st.composite
+def _dense_near(draw, phases):
+    """A dense matrix of the phase gate's size: its diagonal, a table or 0s, and drawn entries."""
+    dim = phases.dim
+    start = draw(st.sampled_from(["diagonal", "table", "zeros"]))
+    if start == "diagonal":
+        m = np.diag(phases.phases)
+    elif start == "table":
+        m = oracles.permutation_matrix(draw(st.permutations(range(dim))))
+    else:
+        m = np.zeros((dim, dim), dtype=np.complex128)
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), _ENTRY)
+    for row, col, value in draw(st.lists(cells, max_size=4)):
+        m[row, col] = value
+    return GateMatrix(m)
 
 
 @st.composite
 def phase_and_other(draw):
-    """A phase gate and a second phase gate or a table of its size."""
+    """A phase gate and a second phase gate, a table or a dense matrix of its size."""
     dim = draw(st.integers(1, 12))
-    tables = st.just(list(range(dim))) | st.permutations(range(dim))
-    other = draw(_phase_vectors(dim) | tables.map(lambda p: GateMatrix(perm=p)))
-    return draw(_phase_vectors(dim)), other
+    phases = draw(_phase_vectors(dim))
+    perms = st.just(list(range(dim))) | st.permutations(range(dim))
+    tables = perms.map(lambda p: GateMatrix(perm=p))
+    other = draw(_phase_vectors(dim) | tables | _dense_near(phases))
+    return phases, other
 
 
 @given(phase_and_other())
 @example((GateMatrix(phases=[0.5, 0.5]), GateMatrix(perm=[1, 0])))  # the off-diagonal 1s differ most
+@example((GateMatrix(phases=[0.5, -1]), GateMatrix(np.diag([0.5, -1]))))  # equal
+@example((GateMatrix(phases=[1, 1j]), GateMatrix([[1, 0.25], [0, 1j]])))  # off the diagonal
 def test_phase_compare_matches_the_dense_compare_bit_for_bit(drawn):
     for a, b in (drawn, drawn[::-1]):
         want = max_entry_dist(GateMatrix(a.entries), GateMatrix(b.entries))
@@ -221,6 +245,14 @@ def test_phase_compare_peaks_near_the_vectors():
     for a, b in ((cz, cz_d_dag(64)), (cz, identity_gate(64, 2)), (cx_tilde(64), cz)):
         _, peak = _peak_bytes(lambda: max_entry_dist(a, b))
         assert peak <= 3 * cz.phases.nbytes  # 4,096 phases: no 4,096 x 4,096 matrix
+
+
+def test_phase_compare_reads_a_dense_matrix_in_place():
+    rng = np.random.default_rng(5)
+    dense, phases = GateMatrix(np.exp(1j * rng.standard_normal((1024, 1024)))), cz_d(32)
+    for a, b in ((dense, phases), (phases, dense)):
+        _, peak = _peak_bytes(lambda: max_entry_dist(a, b))
+        assert peak <= 0.75 * dense.matrix.nbytes  # one float per entry: no diag(phases)
 
 
 def _peak_bytes(fn):
@@ -783,19 +815,91 @@ def test_cli_main_keeps_the_exit_code_contract_on_drawn_input(drawn):
         assert _run_main(*plain)[:2] == (code, out)
 
 
-@pytest.mark.parametrize("rows", [0, 1, cli._ROWS_PER_WRITE - 1, cli._ROWS_PER_WRITE,
-                                  cli._ROWS_PER_WRITE + 1])
+_STEP = cli._NUMBERS_PER_WRITE // 3  # rows of three numbers per batch
+
+
+def _same_text(got, want):
+    # where the texts part, not a diff: diffing megabytes of text takes minutes
+    same = len(os.path.commonprefix([got, want]))
+    assert (same, len(got)) == (len(want), len(want))
+
+
+# the edges of the first batch and of the fourth
+@pytest.mark.parametrize("rows", [0, 1, _STEP - 1, _STEP, _STEP + 1,
+                                  4 * _STEP - 1, 4 * _STEP, 4 * _STEP + 1])
 def test_simulate_text_output_is_batched_byte_for_byte(tmp_path, capsys, rows):
-    n = (cli._ROWS_PER_WRITE + 1).bit_length()
+    n = (4 * _STEP + 1).bit_length()
     amps = _random_amps(rows, 2**n)
     amps[rows:] *= 1e-13  # below AMP_EPSILON: not printed
     state, qc = tmp_path / "state.txt", tmp_path / "id.qc"
     _state_file(state, amps)
     qc.write_text(f"dim 2\nwires {n}\nID 1\n", encoding="utf-8")
-    want = oracles.format_amplitudes(oracles.load_state(state, 2, n).amps, as_json=False)
-    assert want.count("\n") == rows
-    assert cli.main(["simulate", "--circuit", str(qc), "--state", str(state)]) == 0
-    got = capsys.readouterr().out
-    # where the texts part, not a diff: diffing megabytes of text takes minutes
-    same = len(os.path.commonprefix([got, want]))
-    assert (same, len(got)) == (len(want), len(want))
+    want = oracles.load_state(state, 2, n).amps
+    assert oracles.format_amplitudes(want, as_json=False).count("\n") == rows
+    for flags in ((), ("--json",)):
+        assert cli.main(["simulate", "--circuit", str(qc), "--state", str(state), *flags]) == 0
+        _same_text(capsys.readouterr().out, oracles.format_amplitudes(want, bool(flags)))
+
+
+def test_simulate_output_of_no_amplitude_is_empty(tmp_path, capsys):
+    state, qc = tmp_path / "state.txt", tmp_path / "id.qc"
+    state.write_text("1e-13 0\n0 -0.0\n", encoding="utf-8")
+    qc.write_text("dim 2\nwires 1\nID 1\n", encoding="utf-8")
+    for flags, want in (((), ""), (("--json",), '{"amplitudes": []}\n')):
+        assert cli.main(["simulate", "--circuit", str(qc), "--state", str(state), *flags]) == 0
+        assert capsys.readouterr().out == want
+
+
+_ROW = 1024  # entries in a row of a d = 32 two-qudit gate
+_MATRIX_STEP = cli._NUMBERS_PER_WRITE // (2 * _ROW)  # rows of 2 * _ROW numbers per batch
+
+
+@pytest.mark.parametrize("rows", [0, 1, _MATRIX_STEP - 1, _MATRIX_STEP, _MATRIX_STEP + 1])
+def test_matrix_output_is_batched_byte_for_byte(capsys, rows):
+    rng = np.random.default_rng(rows)
+    m = rng.standard_normal((rows, _ROW)) + 1j * rng.standard_normal((rows, _ROW))
+    m[:, ::3] = complex(-0.0, 0.0)
+    m[:, 1::3] *= 1e-300
+    for fmt in ("csv", "json"):
+        cli._write_matrix(m, fmt)
+        _same_text(capsys.readouterr().out, oracles.format_matrix(m, fmt))
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 16])
+@pytest.mark.parametrize("mnemonic", list(MNEMONICS))
+def test_matrix_output_matches_oracle(capsys, mnemonic, d):
+    m = gate_matrix(MNEMONICS[mnemonic], d).entries
+    for fmt in ("csv", "json"):
+        assert cli.main(["matrix", "--gate", mnemonic, "--d", str(d), "--format", fmt]) == 0
+        assert capsys.readouterr().out == oracles.format_matrix(m, fmt)
+
+
+class _Sink:
+    """A stdout that keeps no text, so a peak counts the command's own arrays."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _cli_peak(argv):
+    with contextlib.redirect_stdout(_Sink()):
+        code, peak = _peak_bytes(lambda: cli.main(argv))
+    assert code == 0
+    return peak
+
+
+def test_matrix_json_peaks_near_the_dense_matrix():
+    size = 1024**2 * 16  # CX at d = 32: 1024 x 1024 complex entries
+    assert _cli_peak(["matrix", "--gate", "CX", "--d", "32", "--format", "json"]) <= 2 * size
+
+
+def test_simulate_json_peaks_near_the_state(tmp_path):
+    n = 16
+    qc = tmp_path / "qft.qc"
+    qc.write_text(f"dim 2\nwires {n}\n" + "".join(f"QFT {w}\n" for w in range(1, n + 1)),
+                  encoding="utf-8")
+    argv = ["simulate", "--circuit", str(qc), "--input", ",".join("0" * n), "--json"]
+    assert _cli_peak(argv) <= 10 * 2**n * 16  # every one of the 2^16 amplitudes is printed
