@@ -64,17 +64,18 @@ class Circuit:
         return tuple(built[op.kind] for op in self.ops)
 
 
-def _run(c: Circuit, t: np.ndarray) -> np.ndarray:
-    """Apply every op of ``c`` to the d^n rows of ``t``; returns (d^n, cols).
+def _run(c: Circuit, t: np.ndarray, work: np.ndarray | None = None, first: int = 0) -> np.ndarray:
+    """Apply the ops of ``c`` from op ``first`` on to the d^n rows of ``t``; returns (d^n, cols).
 
-    May overwrite ``t``: the run holds it and one work array of its size.  A
-    phase gate scales in place; any other op reads its wire axes as d^k rows
-    from one array, copied there unless in order already, and writes the other.
+    ``t`` is C-contiguous or permutes the axes of a C-contiguous array; the run
+    may overwrite it and ``work``, a spare array of its size.  A phase gate scales
+    in place; any other op reads its wire axes as d^k rows from one array,
+    copied there unless in order already, and writes the other.
     """
-    a = t.reshape(-1)
-    work = np.empty_like(a)
-    t = a.reshape((c.d,) * c.n + (-1,))
-    for op, g in zip(c.ops, c.gates):
+    t = t.reshape((c.d,) * c.n + (-1,))
+    a = t.ravel("K")  # t's own array, in memory order
+    work = np.empty_like(a) if work is None else work
+    for op, g in zip(c.ops[first:], c.gates[first:]):
         k = len(op.wires)
         axes = [w - 1 for w in op.wires]
         front = np.moveaxis(t, axes, range(k))
@@ -128,28 +129,36 @@ def _changed_wires(c: Circuit, op: GateOp, g: GateMatrix) -> set[int]:
             if np.any(g.matrix[x[:, None] != x] != 0)}
 
 
-def _blocks(c: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ops run on the identity over the free wires, with the one map of its entries.
+def _blocks(c: Circuit, buf: list) -> tuple[np.ndarray, ...]:
+    """(blocks, spare, base, parts, col): the ops run on the identity over the free wires.
 
     No op changes a kept wire's digit, so row r of the unitary is 0 off its
     block, and ``blocks`` (d^n, d^f) holds the rest: ``blocks[r, j]`` is the
     entry at column ``base[r] + parts[j]``.  ``base`` is each label's kept
     part, ``parts`` the free parts of the block columns, in order, and
-    ``col`` each label's own block column.
+    ``col`` each label's own block column.  The blocks and ``spare`` are the
+    two halves of the array in the list ``buf``, made if too small.
     """
     d, n = c.d, c.n
     changed = set().union(*(_changed_wires(c, op, g) for op, g in zip(c.ops, c.gates)))
     free = [w for w in range(n) if w + 1 in changed]
     _check_budget(d, n + len(free))
+    size, k = d ** (n + len(free)), len(free)
+    buf[:] = [b for b in buf if b.size >= 2 * size] or [np.empty(2 * size, dtype=np.complex128)]
+    half = buf[0][:size], buf[0][size:2 * size]
     labels = np.arange(d**n)
     place = d ** np.arange(n - 1, -1, -1)[free]  # the place value of each free digit
     digits = labels // place[:, None] % d  # (f, d^n): each label's free digits
     base = labels - place @ digits
     parts = np.flatnonzero(base == 0)  # the labels whose kept digits are all 0
-    col = d ** np.arange(len(free) - 1, -1, -1) @ digits
-    blocks = np.zeros((d**n, d ** len(free)), dtype=np.complex128)
-    blocks[labels, col] = 1.0  # identity on the free wires
-    return _run(c, blocks), base, parts, col
+    col = d ** np.arange(k - 1, -1, -1) @ digits
+    # the identity once per kept part, free wire axes first; a dense op 0 on the
+    # free wires alone is its own product with the identity, written in its place
+    first = int(c.gates[0].matrix is not None and free == [w - 1 for w in c.ops[0].wires])
+    g = c.gates[0].matrix if first else np.eye(d**k)
+    np.copyto(half[0].reshape((d,) * k + (-1,) + (d,) * k), g.reshape((d,) * k + (1,) + (d,) * k))
+    blocks = _run(c, np.moveaxis(half[0].reshape((d,) * n + (-1,)), range(k), free), half[1], first)
+    return blocks, half[1] if np.may_share_memory(blocks, half[0]) else half[0], base, parts, col
 
 
 def circuit_unitary(c: Circuit) -> GateMatrix:
@@ -166,7 +175,7 @@ def circuit_unitary(c: Circuit) -> GateMatrix:
     if all(g.perm is not None for g in c.gates):
         # entry i of the run is the label that lands on i: the inverse table
         return GateMatrix(perm=_run(c, np.arange(d**n))[:, 0]).dagger()
-    blocks, base, parts, _ = _blocks(c)
+    blocks, _, base, parts, _ = _blocks(c, [])
     if parts.size == 1:  # no free wire: each row's block is its diagonal entry
         return GateMatrix(phases=blocks[:, 0])
     out = np.zeros((d**n, d**n), dtype=np.complex128)
@@ -180,6 +189,11 @@ def table_dist(c: Circuit, table: GateMatrix) -> float:
     Blocks are read as |b| off the table's 1s and |b - 1| on them; a row whose
     1 lies outside its block adds 1.0, as the unitary holds 0 there.
     """
+    return _table_dist(c, table, [])
+
+
+def _table_dist(c: Circuit, table: GateMatrix, buf: list) -> float:
+    """``table_dist``, with the blocks in the array of ``buf`` (see ``_blocks``)."""
     d, n = c.d, c.n
     if table.perm is None or table.dim != d**n:
         raise DimensionError(f"expected a permutation table on {d**n} labels")
@@ -187,10 +201,11 @@ def table_dist(c: Circuit, table: GateMatrix) -> float:
         _check_budget(d, n)  # two tables, exactly; the run holds d^n labels, no unitary
         landed = _run(c, np.arange(d**n))[:, 0]  # entry i: the label that lands on i
         return 0.0 if np.array_equal(table.perm[landed], np.arange(d**n)) else 1.0
-    blocks, base, _, col = _blocks(c)
+    blocks, spare, base, _, col = _blocks(c, buf)
     own = base[table.perm] == base  # the columns whose 1 lies in their own block
     blocks[table.perm[own], col[own]] -= 1
-    return max(float(np.abs(blocks).max()), 0.0 if own.all() else 1.0)
+    dist = np.abs(blocks, out=spare.view(np.float64)[:blocks.size].reshape(blocks.shape))
+    return max(float(dist.max()), 0.0 if own.all() else 1.0)
 
 
 def simulate(c: Circuit, s: StateVector) -> StateVector:

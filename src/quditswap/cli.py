@@ -20,8 +20,8 @@ import warnings
 
 import numpy as np
 
-from .circuit import Circuit, _follow, simulate
-from .core import StateVector, _check_budget, _check_digits, basis_state
+from .circuit import Circuit, _follow, _run
+from .core import GateMatrix, StateVector, _check_budget, _check_digits, _dense_rows, basis_state
 from .dsl import MNEMONICS, ParseError, parse, render
 from .gates import gate_matrix
 from .verify import check_d_range, verify_all
@@ -63,32 +63,35 @@ def cmd_matrix(args) -> int:
     if kind is None:
         raise ValueError(f"unknown gate mnemonic {args.gate!r}")
     check_d_range(args.d, args.d)
-    _write_matrix(gate_matrix(kind, args.d).entries, args.format)
+    g = gate_matrix(kind, args.d)
+    _write_matrix(g.matrix if g.matrix is not None else g, args.format)
     return 0
 
 
-def _write(head: str, row: str, sep: str, tail: str, *cols: np.ndarray) -> None:
-    """Write ``head``, ``row % numbers`` per row of ``cols`` joined by ``sep``, then ``tail``.
+def _write(head: str, row: str, sep: str, tail: str, size: int, cols) -> None:
+    """Write ``head``, ``row % numbers`` for each of ``size`` rows joined by ``sep``, then ``tail``.
 
-    A row's numbers are its entries of the cols in turn, one col after the
-    other; they become Python objects ``_NUMBERS_PER_WRITE`` at a time.
+    ``cols(s)`` gives the cols of the rows in slice ``s``; a row's numbers are its entries of
+    them in turn, re then im if complex, made Python objects ``_NUMBERS_PER_WRITE`` at a time.
     """
-    step = max(1, _NUMBERS_PER_WRITE // (len(cols) * math.prod(cols[0].shape[1:])))
+    step = max(1, _NUMBERS_PER_WRITE // row.count("%"))  # a row holds one number per %
     sys.stdout.write(head)
-    for lo in range(0, len(cols[0]), step):
-        parts = [c[lo:lo + step] for c in cols]
-        flat = [None] * (len(cols) * parts[0].size)
+    for lo in range(0, size, step):
+        parts = [p for c in cols(slice(lo, lo + step))
+                 for p in ((c.real, c.imag) if np.iscomplexobj(c) else (c,))]
+        flat = [None] * (len(parts) * parts[0].size)
         for k, part in enumerate(parts):
-            flat[k::len(cols)] = part.reshape(-1).tolist()  # a strided 1-D col stays a view
+            flat[k::len(parts)] = part.reshape(-1).tolist()  # a strided 1-D col stays a view
         sys.stdout.write(sep * (lo > 0) + sep.join([row] * len(parts[0])) % tuple(flat))
     sys.stdout.write(tail)
 
 
-def _write_matrix(m: np.ndarray, fmt: str) -> None:
+def _write_matrix(m: np.ndarray | GateMatrix, fmt: str) -> None:
     """Rows of (re, im) pairs: ``re,im`` joined by ``;`` per line, or a JSON list of lists."""
-    form = (("[", "[" + ", ".join(["[%r, %r]"] * m.shape[1]) + "]", ", ", "]\n") if fmt == "json"
-            else ("", ";".join(["%.17g,%.17g"] * m.shape[1]) + "\n", "", ""))
-    _write(*form, m.real, m.imag)
+    size, width = m.shape if isinstance(m, np.ndarray) else (m.dim, m.dim)
+    form = (("[", "[" + ", ".join(["[%r, %r]"] * width) + "]", ", ", "]\n") if fmt == "json"
+            else ("", ";".join(["%.17g,%.17g"] * width) + "\n", "", ""))
+    _write(*form, size, lambda s: (m[s] if isinstance(m, np.ndarray) else _dense_rows(m, s),))
 
 
 def _floats(tokens: list[str]) -> np.ndarray:
@@ -161,13 +164,14 @@ def cmd_simulate(args) -> int:
         print(json.dumps({"label": label}) if args.json else ",".join(map(str, label)))
         return 0
 
-    out = simulate(circ, state)  # an amplitude that overflows raises ValueError
-    idx = np.flatnonzero(np.abs(out.amps) >= AMP_EPSILON)
-    kept = out.amps[idx]
+    state.amps.setflags(write=True)  # made here, held by nothing else: run it, not a copy
+    with np.errstate(over="ignore", invalid="ignore"):  # StateVector names a non-finite result
+        out = StateVector(circ.d, circ.n, _run(circ, state.amps)[:, 0]).amps
+    idx = np.flatnonzero(np.abs(out) >= AMP_EPSILON)
     # %r is the float repr that json.dumps writes
     form = (('{"amplitudes": [', '{"index": %d, "re": %r, "im": %r}', ", ", "]}\n") if args.json
             else ("", "%d %.17g %.17g\n", "", ""))
-    _write(*form, idx, kept.real, kept.imag)
+    _write(*form, idx.size, lambda s: (idx[s], out[idx[s]]))
     return 0
 
 

@@ -119,12 +119,7 @@ class GateMatrix:
     @property
     def entries(self) -> np.ndarray:
         """Dense complex128 matrix; built on each read unless the gate is dense."""
-        if self.matrix is not None:
-            return self.matrix
-        rows, values = _column_entries(self)
-        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        m[rows, np.arange(self.dim)] = values
-        return m
+        return self.matrix if self.matrix is not None else _dense_rows(self, slice(None))
 
     def dagger(self) -> "GateMatrix":
         if self.perm is not None:
@@ -156,6 +151,12 @@ def _column_entries(g: GateMatrix) -> tuple[np.ndarray, np.ndarray | float] | No
     if g.matrix is None:
         return (g.perm, 1.0) if g.perm is not None else (np.arange(g.dim), g.phases)
     return None
+
+
+def _dense_rows(g: GateMatrix, s: slice) -> np.ndarray:
+    """Rows ``s`` of the dense matrix of a table or a phase gate, those rows alone."""
+    rows, values = _column_entries(g)
+    return np.where(rows == np.arange(g.dim)[s, None], values, 0j)
 
 
 def max_entry_dist(a: GateMatrix, b: GateMatrix) -> float:

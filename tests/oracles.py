@@ -5,14 +5,15 @@ straight from the paper's formulas, so it shares no code with the index
 tables, phase vectors and wire-axis kernel of the package.  Sizes stay small.
 The sampled checks are the exception: they run random states through the
 package's gates and kernel, as the identity suite did before it proved the
-permutation claims on basis labels.
+permutation claims on basis labels.  So does the identity start of the
+blocks, which runs every op of a circuit through the kernel, op 0 included.
 """
 
 import json
 
 import numpy as np
 
-from quditswap.circuit import _run, partial_swap_circuit, swap_circuit
+from quditswap.circuit import _blocks, _run, partial_swap_circuit, swap_circuit
 from quditswap.core import GateMatrix, StateVector
 from quditswap.gates import GateKind
 
@@ -189,6 +190,20 @@ def sampled_random_states(d: int, seed: int = 42, trials: int = 20) -> float:
     transposed = states.reshape(d, d, trials).swapaxes(0, 1).reshape(d * d, trials)
     out = _run(swap_circuit(d), states.copy())
     return float(np.abs(out - transposed).max())
+
+
+def identity_start_blocks(c, buf=None):
+    """``circuit._blocks`` with neither the op-0 write nor the shared array.
+
+    The identity over the free wires is written at each label's own block
+    column of a fresh array of zeros, and ``_run`` applies every op to it.
+    The label map is ``_blocks``' own; ``buf`` is not used, and the spare
+    half is a fresh array too.
+    """
+    _, _, base, parts, col = _blocks(c, [])
+    blocks = np.zeros((col.size, col.max() + 1), dtype=np.complex128)
+    blocks[np.arange(col.size), col] = 1.0
+    return _run(c, blocks), np.empty(blocks.size, dtype=np.complex128), base, parts, col
 
 
 def delta_sum_max_dev(d: int) -> float:

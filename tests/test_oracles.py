@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from quditswap import cli, gates
 from quditswap.circuit import (
     Circuit,
     GateOp,
+    _blocks,
     _run,
     asymmetric_swap_circuit,
     circuit_unitary,
@@ -327,7 +329,8 @@ def test_verify_decomposition_allocates_less_than_a_quarter_of_the_unitary():
 
 
 def test_verify_decomposition_allocates_one_work_array():
-    # the blocks and one work array of their size, the one abs, and small arrays
+    # the blocks and the run's work array, the two halves of one array, the
+    # phase multiply's buffer, and small arrays
     d = 32
     verify_identity("decomposition", d)
     _, peak = _peak_bytes(lambda: verify_identity("decomposition", d))
@@ -362,6 +365,79 @@ def test_table_dist_of_a_permutation_circuit_needs_only_the_state_budget():
     assert table_dist(c, identity_gate(d, n)) == 0.0
     once = Circuit(d, n, c.ops[:1])
     assert table_dist(once, identity_gate(d, n)) == 1.0
+
+
+def _identity_start():
+    """``circuit._blocks`` replaced by the slow identity start, for a reference run."""
+    return mock.patch("quditswap.circuit._blocks", oracles.identity_start_blocks)
+
+
+@st.composite
+def dense_first_circuits(draw):
+    """A circuit whose op 0 is a QFT or an IQFT: d 2..9, n 1..4, d^n at most 729.
+
+    Half of them change no digit but op 0's, which is then written, not
+    multiplied; the rest add drawn ops, which often free other wires too.
+    """
+    d = draw(st.integers(2, 9))
+    n = draw(st.integers(1, next(k for k in (4, 3, 2) if d**k <= 729)))
+    wire = draw(st.integers(1, n))
+    ops = [GateOp(draw(st.sampled_from([GateKind.QFT, GateKind.IQFT])), (wire,))]
+    if draw(st.booleans()):
+        keeping = [GateKind.QFT, GateKind.IQFT, GateKind.CZd, GateKind.CZdDag, GateKind.Identity]
+        for kind in draw(st.lists(st.sampled_from([k for k in keeping if k.arity <= n]),
+                                  max_size=4)):
+            wires = draw(st.permutations(range(1, n + 1)))[: kind.arity]
+            ops.append(GateOp(kind, (wire,) if kind in (GateKind.QFT, GateKind.IQFT) else wires))
+    else:
+        ops += draw(circuits_on(d, n)).ops
+    return Circuit(d, n, tuple(ops))
+
+
+@settings(deadline=None, max_examples=150)
+@given(dense_first_circuits(), st.integers(0, 2**32 - 1))
+@example(cx_tilde_decomposition(9), 1)
+@example(cx_tilde_decomposition_alt(9), 1)
+@example(Circuit(3, 3, _ops(3, (GateKind.IQFT, (2,)), (GateKind.CZd, (3, 2)))), 0)
+@example(Circuit(2, 4, _ops(2, (GateKind.QFT, (3,)), (GateKind.CXd, (1, 4)))), 1)
+def test_op0_write_matches_the_identity_start(c, seed):
+    blocks, _, base, parts, col = _blocks(c, [])
+    assert np.array_equal(blocks, oracles.identity_start_blocks(c)[0])
+    rng = np.random.default_rng(seed)
+    # a table that keeps every label in its block, or any table
+    perm = base + parts[rng.permutation(parts.size)][col] if seed % 2 else rng.permutation(c.d**c.n)
+    table = GateMatrix(perm=perm)
+    with _identity_start():
+        want_dist, want_u = table_dist(c, table), circuit_unitary(c)
+    assert table_dist(c, table) == want_dist
+    assert np.array_equal(circuit_unitary(c).entries, want_u.entries)
+
+
+@pytest.mark.parametrize("c", KEPT_WIRE_CIRCUITS, ids=lambda c: f"d{c.d}n{c.n}-{len(c.ops)}ops")
+def test_blocks_of_kept_wire_circuits_match_the_identity_start(c):
+    assert np.array_equal(_blocks(c, [])[0], oracles.identity_start_blocks(c)[0])
+
+
+@settings(deadline=None, max_examples=80)
+@given(dense_first_circuits(), st.data())
+def test_two_circuits_share_one_array_that_holds_junk(c, data):
+    # the second starts from the identity: op 0 is not dense
+    d, n = c.d, c.n
+    kinds = [k for k in KINDS if k not in (GateKind.QFT, GateKind.IQFT) and k.arity <= n]
+    kind = data.draw(st.sampled_from(kinds))
+    first = GateOp(kind, tuple(data.draw(st.permutations(range(1, n + 1)))[: kind.arity]))
+    second = Circuit(d, n, (first, *data.draw(circuits_on(d, n)).ops))
+    junk = np.full(2 * d ** (2 * n), complex(np.nan, np.nan))  # room for any f
+    buf = [junk]
+    for circ in (c, second):
+        assert np.array_equal(_blocks(circ, buf)[0], oracles.identity_start_blocks(circ)[0])
+    assert buf[0] is junk
+
+
+def test_verify_reports_match_the_identity_start():
+    with _identity_start():
+        want = verify_all(2, 64)
+    assert verify_all(2, 64) == want
 
 
 @given(st.integers(2, 5))
@@ -903,3 +979,23 @@ def test_simulate_json_peaks_near_the_state(tmp_path):
                   encoding="utf-8")
     argv = ["simulate", "--circuit", str(qc), "--input", ",".join("0" * n), "--json"]
     assert _cli_peak(argv) <= 10 * 2**n * 16  # every one of the 2^16 amplitudes is printed
+
+
+def test_simulate_state_runs_the_loaded_array_without_a_copy(tmp_path):
+    n = 16
+    state, qc = tmp_path / "state.txt", tmp_path / "qft.qc"
+    # one plain pair a line: numpy's parser reads it, so parsing peaks below the run
+    state.write_text("".join(f"{float(a.real)!r} {float(a.imag)!r}\n"
+                             for a in _random_amps(16, 2**n)), encoding="utf-8")
+    qc.write_text(f"dim 2\nwires {n}\nQFT 1\n", encoding="utf-8")
+    argv = ["simulate", "--circuit", str(qc), "--state", str(state)]
+    _cli_peak(argv)  # lazy set-up is not counted
+    # the loaded state, one work array, |amplitude| floats and the printed
+    # indices: 3.35x the state; one more copy of the state would reach 4.3x
+    assert _cli_peak(argv) <= 3.5 * 2**n * 16
+
+
+@pytest.mark.parametrize("gate", ["CX", "CZ"])
+def test_matrix_of_a_table_or_phase_gate_builds_rows_a_batch_at_a_time(gate):
+    size = (24 * 24) ** 2 * 16  # the dense matrix at d = 24
+    assert _cli_peak(["matrix", "--gate", gate, "--d", "24", "--format", "csv"]) <= size / 4
