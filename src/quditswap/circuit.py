@@ -129,7 +129,7 @@ def _changed_wires(c: Circuit, op: GateOp, g: GateMatrix) -> set[int]:
             if np.any(g.matrix[x[:, None] != x] != 0)}
 
 
-def _blocks(c: Circuit, buf: list) -> tuple[np.ndarray, ...]:
+def _blocks(c: Circuit) -> tuple[np.ndarray, ...]:
     """(blocks, spare, base, parts, col): the ops run on the identity over the free wires.
 
     No op changes a kept wire's digit, so row r of the unitary is 0 off its
@@ -137,15 +137,14 @@ def _blocks(c: Circuit, buf: list) -> tuple[np.ndarray, ...]:
     entry at column ``base[r] + parts[j]``.  ``base`` is each label's kept
     part, ``parts`` the free parts of the block columns, in order, and
     ``col`` each label's own block column.  The blocks and ``spare`` are the
-    two halves of the array in the list ``buf``, made if too small.
+    two halves of one array, made on each call.
     """
     d, n = c.d, c.n
     changed = set().union(*(_changed_wires(c, op, g) for op, g in zip(c.ops, c.gates)))
     free = [w for w in range(n) if w + 1 in changed]
     _check_budget(d, n + len(free))
     size, k = d ** (n + len(free)), len(free)
-    buf[:] = [b for b in buf if b.size >= 2 * size] or [np.empty(2 * size, dtype=np.complex128)]
-    half = buf[0][:size], buf[0][size:2 * size]
+    half = np.empty((2, size), dtype=np.complex128)
     labels = np.arange(d**n)
     place = d ** np.arange(n - 1, -1, -1)[free]  # the place value of each free digit
     digits = labels // place[:, None] % d  # (f, d^n): each label's free digits
@@ -175,7 +174,7 @@ def circuit_unitary(c: Circuit) -> GateMatrix:
     if all(g.perm is not None for g in c.gates):
         # entry i of the run is the label that lands on i: the inverse table
         return GateMatrix(perm=_run(c, np.arange(d**n))[:, 0]).dagger()
-    blocks, _, base, parts, _ = _blocks(c, [])
+    blocks, _, base, parts, _ = _blocks(c)
     if parts.size == 1:  # no free wire: each row's block is its diagonal entry
         return GateMatrix(phases=blocks[:, 0])
     out = np.zeros((d**n, d**n), dtype=np.complex128)
@@ -187,13 +186,9 @@ def table_dist(c: Circuit, table: GateMatrix) -> float:
     """``max_entry_dist(circuit_unitary(c), table)``, without a d^n x d^n array.
 
     Blocks are read as |b| off the table's 1s and |b - 1| on them; a row whose
-    1 lies outside its block adds 1.0, as the unitary holds 0 there.
+    1 lies outside its block adds 1.0, as the unitary holds 0 there; the
+    spare half of ``_blocks``' array holds those distances.
     """
-    return _table_dist(c, table, [])
-
-
-def _table_dist(c: Circuit, table: GateMatrix, buf: list) -> float:
-    """``table_dist``, with the blocks in the array of ``buf`` (see ``_blocks``)."""
     d, n = c.d, c.n
     if table.perm is None or table.dim != d**n:
         raise DimensionError(f"expected a permutation table on {d**n} labels")
@@ -201,7 +196,7 @@ def _table_dist(c: Circuit, table: GateMatrix, buf: list) -> float:
         _check_budget(d, n)  # two tables, exactly; the run holds d^n labels, no unitary
         landed = _run(c, np.arange(d**n))[:, 0]  # entry i: the label that lands on i
         return 0.0 if np.array_equal(table.perm[landed], np.arange(d**n)) else 1.0
-    blocks, spare, base, _, col = _blocks(c, buf)
+    blocks, spare, base, _, col = _blocks(c)
     own = base[table.perm] == base  # the columns whose 1 lies in their own block
     blocks[table.perm[own], col[own]] -= 1
     dist = np.abs(blocks, out=spare.view(np.float64)[:blocks.size].reshape(blocks.shape))

@@ -148,22 +148,19 @@ def cmd_simulate(args) -> int:
     if (args.input is None) == (args.state is None):
         raise ValueError("exactly one of --input / --state is required")
     _check_budget(circ.d, circ.n)  # before the state allocates d^n amplitudes
-    # building the gates here makes a gate over its budget a usage error
-    permutation_only = all(g.perm is not None for g in circ.gates)
+    circ.gates  # built first, so a gate over its budget is the usage error reported
     if args.input is not None:
         digits = tuple(int(t) for t in args.input.split(","))
         if len(digits) != circ.n:
             raise ValueError(f"expected {circ.n} digits, got {len(digits)}")
         _check_digits(digits, circ.d)
-        state = None if permutation_only else basis_state(digits, circ.d)
+        if all(g.perm is not None for g in circ.gates):  # tables move a label to a label
+            label = _follow(circ, np.array(digits)[:, None])[:, 0].tolist()
+            print(json.dumps({"label": label}) if args.json else ",".join(map(str, label)))
+            return 0
+        state = basis_state(digits, circ.d)
     else:
         state = _load_state(args.state, circ.d, circ.n)
-
-    if state is None:  # tables move a label to a label: follow it, allocate no state
-        label = _follow(circ, np.array(digits)[:, None])[:, 0].tolist()
-        print(json.dumps({"label": label}) if args.json else ",".join(map(str, label)))
-        return 0
-
     state.amps.setflags(write=True)  # made here, held by nothing else: run it, not a copy
     with np.errstate(over="ignore", invalid="ignore"):  # StateVector names a non-finite result
         out = StateVector(circ.d, circ.n, _run(circ, state.amps)[:, 0]).amps

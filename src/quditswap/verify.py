@@ -21,13 +21,13 @@ from .circuit import (
     Circuit,
     GateOp,
     _follow,
-    _table_dist,
     asymmetric_swap_circuit,
     cx_tilde_decomposition,
     cx_tilde_decomposition_alt,
     partial_swap_circuit,
     swap_circuit,
     swap_circuit_alt,
+    table_dist,
 )
 from .gates import GateKind, cx_tilde, identity_gate, swap_ref
 
@@ -50,9 +50,8 @@ class VerificationReport:
 
 
 def _table_dev(target, *circuits) -> float:
-    """The largest ``table_dist`` of the circuits from the table ``target``, on one buffer."""
-    buf = []
-    return max(_table_dist(c, target, buf) for c in circuits)
+    """The largest ``table_dist`` of the circuits from the table ``target``."""
+    return max(table_dist(c, target) for c in circuits)
 
 
 def _partial_swap_dev(d: int) -> float:

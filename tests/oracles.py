@@ -192,15 +192,14 @@ def sampled_random_states(d: int, seed: int = 42, trials: int = 20) -> float:
     return float(np.abs(out - transposed).max())
 
 
-def identity_start_blocks(c, buf=None):
-    """``circuit._blocks`` with neither the op-0 write nor the shared array.
+def identity_start_blocks(c):
+    """``circuit._blocks`` without the op-0 write or the two-half array.
 
     The identity over the free wires is written at each label's own block
     column of a fresh array of zeros, and ``_run`` applies every op to it.
-    The label map is ``_blocks``' own; ``buf`` is not used, and the spare
-    half is a fresh array too.
+    The label map is ``_blocks``' own, and the spare half is a fresh array.
     """
-    _, _, base, parts, col = _blocks(c, [])
+    _, _, base, parts, col = _blocks(c)
     blocks = np.zeros((col.size, col.max() + 1), dtype=np.complex128)
     blocks[np.arange(col.size), col] = 1.0
     return _run(c, blocks), np.empty(blocks.size, dtype=np.complex128), base, parts, col
