@@ -106,7 +106,8 @@ class GateMatrix:
         held = [a for a in (m, perm, phases) if a is not None]
         if len(held) != 1:
             raise ValueError("a gate needs exactly one of matrix, perm, phases")
-        if not np.all(np.isfinite(held[0])):
+        # an intp table cannot hold NaN or inf
+        if perm is None and not np.all(np.isfinite(held[0])):
             raise ValueError("non-finite matrix entry")
         held[0].setflags(write=False)
         for name, value in (("matrix", m), ("perm", perm), ("phases", phases)):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from quditswap.core import (
 from quditswap.gates import GateKind, identity_gate, qft, swap_ref, x_d
 
 from oracles import apply, flat_to_digits, kron
+from probes import peak_bytes
 
 
 def test_basis_state_examples():
@@ -30,13 +29,11 @@ def test_basis_state_rejects_out_of_range_digit():
 
 
 def test_basis_state_refuses_a_register_over_the_state_budget_before_allocating():
-    tracemalloc.start()
-    try:
+    def refuse():
         with pytest.raises(DimensionError, match="exceeds budget"):
             basis_state((0, 0), 4097)
-        assert tracemalloc.get_traced_memory()[1] < 2**20
-    finally:
-        tracemalloc.stop()
+
+    assert peak_bytes(refuse)[1] < 2**20
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (5, 2), (10, 4), (21, 2)])

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,7 @@ from quditswap.gates import (
 )
 
 from oracles import matmul
+from probes import peak_bytes
 
 ALL_BUILDERS = [qft, iqft, cz_d, cz_d_dag, cx_tilde, cx_d, cx_d_dag, x_d, swap_ref]
 
@@ -195,11 +194,11 @@ OVERSIZED = [  # (builder, its arguments, the d^k entries it would allocate)
 @pytest.mark.parametrize("build,args,entries", OVERSIZED,
                          ids=[f"{b.__name__}-{e}" for b, _, e in OVERSIZED])
 def test_oversized_qft_rejected_before_allocation(build, args, entries):
-    tracemalloc.start()
-    try:
+    def refuse():
         with pytest.raises(DimensionError) as exc:
             build(*args)
-        assert tracemalloc.get_traced_memory()[1] < 2**20
-    finally:
-        tracemalloc.stop()
+        return exc
+
+    exc, peak = peak_bytes(refuse)
+    assert peak < 2**20
     assert str(exc.value) == f"an array of {entries} entries exceeds budget {MAX_ENTRIES}"

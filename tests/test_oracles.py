@@ -6,7 +6,6 @@ import json
 import os
 import re
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from probes import peak_bytes, rss_over_import
 from quditswap import cli, gates
 from quditswap.circuit import (
     Circuit,
@@ -245,7 +245,7 @@ def test_phase_compare_matches_the_dense_compare_bit_for_bit(drawn):
 def test_phase_compare_peaks_near_the_vectors():
     cz = cz_d(64)
     for a, b in ((cz, cz_d_dag(64)), (cz, identity_gate(64, 2)), (cx_tilde(64), cz)):
-        _, peak = _peak_bytes(lambda: max_entry_dist(a, b))
+        _, peak = peak_bytes(lambda: max_entry_dist(a, b))
         assert peak <= 3 * cz.phases.nbytes  # 4,096 phases: no 4,096 x 4,096 matrix
 
 
@@ -253,18 +253,8 @@ def test_phase_compare_reads_a_dense_matrix_in_place():
     rng = np.random.default_rng(5)
     dense, phases = GateMatrix(np.exp(1j * rng.standard_normal((1024, 1024)))), cz_d(32)
     for a, b in ((dense, phases), (phases, dense)):
-        _, peak = _peak_bytes(lambda: max_entry_dist(a, b))
+        _, peak = peak_bytes(lambda: max_entry_dist(a, b))
         assert peak <= 0.75 * dense.matrix.nbytes  # one float per entry: no diag(phases)
-
-
-def _peak_bytes(fn):
-    """(result, tracemalloc peak) of one call."""
-    tracemalloc.start()
-    try:
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @st.composite
@@ -324,7 +314,7 @@ def test_table_dist_rejects_a_target_that_is_not_a_table_of_its_size():
 def test_verify_decomposition_allocates_less_than_a_quarter_of_the_unitary():
     d = 32
     verify_identity("decomposition", d)  # lazy set-up is not counted
-    _, peak = _peak_bytes(lambda: verify_identity("decomposition", d))
+    _, peak = peak_bytes(lambda: verify_identity("decomposition", d))
     assert peak < d**4 * 16 / 4
 
 
@@ -333,7 +323,7 @@ def test_verify_decomposition_allocates_one_work_array():
     # halves of one array, the phase multiply's buffer, and small arrays
     d = 32
     verify_identity("decomposition", d)
-    _, peak = _peak_bytes(lambda: verify_identity("decomposition", d))
+    _, peak = peak_bytes(lambda: verify_identity("decomposition", d))
     assert peak <= 2.5 * d**3 * 16
 
 
@@ -344,17 +334,17 @@ def test_simulate_allocates_one_copy_and_one_work_array():
     c = Circuit(d, n, tuple(GateOp(kind, tuple(w)) for kind, w in zip(KINDS * 2, wires)))
     s = StateVector(d, n, _random_amps(3, d**n))
     simulate(c, s)  # builds the gates
-    _, peak = _peak_bytes(lambda: simulate(c, s))
+    _, peak = peak_bytes(lambda: simulate(c, s))
     assert peak <= 2.25 * s.amps.nbytes
 
 
 def test_unitary_and_compare_allocate_little_beyond_the_output():
     c, target = cx_tilde_decomposition(16), cx_tilde(16)
-    u, build_peak = _peak_bytes(lambda: circuit_unitary(c))
+    u, build_peak = peak_bytes(lambda: circuit_unitary(c))
     size = u.matrix.nbytes
     assert build_peak <= 1.5 * size
     for args in ((u, target), (target, u)):
-        _, compare_peak = _peak_bytes(lambda: max_entry_dist(*args))
+        _, compare_peak = peak_bytes(lambda: max_entry_dist(*args))
         assert compare_peak <= 0.75 * size
 
 
@@ -622,7 +612,7 @@ def test_cli_label_path_allocates_no_register(tmp_path):
     qc = tmp_path / "perm.qc"
     qc.write_text(render(c), encoding="utf-8")
     argv = ["simulate", "--circuit", str(qc), "--input", ",".join(map(str, label))]
-    (code, out), peak = _peak_bytes(lambda: _cli_out(argv))
+    (code, out), peak = peak_bytes(lambda: _cli_out(argv))
     assert code == 0 and peak < 2**20
     amps = simulate(c, basis_state(label, 2)).amps
     assert out == ",".join(map(str, np.unravel_index(np.argmax(np.abs(amps)), (2,) * 20))) + "\n"
@@ -636,7 +626,7 @@ def test_large_gates_hold_no_dense_matrix():
 
 def test_table_check_peaks_near_the_table():
     # the table, its checked copy and one bool per label: no sorted copy, no arange
-    g, peak = _peak_bytes(lambda: identity_gate(2, 20))
+    g, peak = peak_bytes(lambda: identity_gate(2, 20))
     assert peak <= 2.5 * g.perm.nbytes
 
 
@@ -974,7 +964,7 @@ class _Sink:
 
 def _cli_peak(argv):
     with contextlib.redirect_stdout(_Sink()):
-        code, peak = _peak_bytes(lambda: cli.main(argv))
+        code, peak = peak_bytes(lambda: cli.main(argv))
     assert code == 0
     return peak
 
@@ -986,12 +976,14 @@ def test_matrix_json_peaks_near_the_dense_matrix():
 
 
 def test_simulate_json_peaks_near_the_state(tmp_path):
-    n = 16
+    # the batched writer peaks at 5.5x; one that makes a Python object of every
+    # number, 37x. At n = 13 the writer's fixed 12,288-number batch alone reaches 9.3x
+    n = 14
     qc = tmp_path / "qft.qc"
     qc.write_text(f"dim 2\nwires {n}\n" + "".join(f"QFT {w}\n" for w in range(1, n + 1)),
                   encoding="utf-8")
     argv = ["simulate", "--circuit", str(qc), "--input", ",".join("0" * n), "--json"]
-    assert _cli_peak(argv) <= 10 * 2**n * 16  # every one of the 2^16 amplitudes is printed
+    assert _cli_peak(argv) <= 10 * 2**n * 16  # every one of the 2^14 amplitudes is printed
 
 
 def test_simulate_state_runs_the_loaded_array_without_a_copy(tmp_path):
@@ -1001,8 +993,12 @@ def test_simulate_state_runs_the_loaded_array_without_a_copy(tmp_path):
     state.write_text("".join(f"{float(a.real)!r} {float(a.imag)!r}\n"
                              for a in _random_amps(16, 2**n)), encoding="utf-8")
     qc.write_text(f"dim 2\nwires {n}\nQFT 1\n", encoding="utf-8")
+    # lazy set-up is not counted: a one-wire run first warms the same path
+    tiny_state, tiny_qc = tmp_path / "tiny.txt", tmp_path / "tiny.qc"
+    tiny_state.write_text("1.0 0.0\n0.0 0.0\n", encoding="utf-8")
+    tiny_qc.write_text("dim 2\nwires 1\nQFT 1\n", encoding="utf-8")
+    _cli_peak(["simulate", "--circuit", str(tiny_qc), "--state", str(tiny_state)])
     argv = ["simulate", "--circuit", str(qc), "--state", str(state)]
-    _cli_peak(argv)  # lazy set-up is not counted
     # the loaded state, one work array, |amplitude| floats and the printed
     # indices: 3.35x the state; one more copy of the state would reach 4.3x
     assert _cli_peak(argv) <= 3.5 * 2**n * 16
@@ -1010,5 +1006,7 @@ def test_simulate_state_runs_the_loaded_array_without_a_copy(tmp_path):
 
 @pytest.mark.parametrize("gate", ["CX", "CZ"])
 def test_matrix_of_a_table_or_phase_gate_builds_rows_a_batch_at_a_time(gate):
-    size = (24 * 24) ** 2 * 16  # the dense matrix at d = 24
-    assert _cli_peak(["matrix", "--gate", gate, "--d", "24", "--format", "csv"]) <= size / 4
+    # a batch of rows takes 1.2 to 1.4 MB over the import; the dense matrix, 16 MiB
+    size = (32 * 32) ** 2 * 16  # the dense matrix at d = 32
+    argv = ["-m", "quditswap.cli", "matrix", "--gate", gate, "--d", "32", "--format", "csv"]
+    assert rss_over_import(argv) <= size / 4

@@ -1,11 +1,11 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from quditswap.core import DimensionError, StateVector
 from quditswap.circuit import simulate, swap_circuit
 from quditswap.verify import IDENTITIES, verify_all, verify_identity
+
+from probes import peak_bytes
 
 
 def test_verify_swap():
@@ -26,14 +26,12 @@ def test_verify_identity_rejects_a_dimension_below_2(name):
 
 @pytest.mark.parametrize("name", list(IDENTITIES))
 def test_verify_identity_rejects_a_dimension_above_64_before_allocating(name):
+    def refuse(d):
+        with pytest.raises(DimensionError, match="d must be in 2..64"):
+            verify_identity(name, d)
+
     for d in (65, 4097):
-        tracemalloc.start()
-        try:
-            with pytest.raises(DimensionError, match="d must be in 2..64"):
-                verify_identity(name, d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(lambda: refuse(d))
         assert peak < 2**20, (d, peak)
 
 
