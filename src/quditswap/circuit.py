@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import DimensionError, GateMatrix, StateVector, _check_budget, _check_dim
-from .gates import GateKind, gate_matrix
+from .gates import GateKind, gate_matrix, shared
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,7 @@ class GateOp:
         wires = tuple(int(w) for w in self.wires)
         object.__setattr__(self, "wires", wires)
         if len(wires) != self.kind.arity:
-            raise ValueError(
-                f"{self.kind.value} takes {self.kind.arity} wire(s), got {len(wires)}"
-            )
+            raise ValueError(f"{self.kind.value} takes {self.kind.arity} wire(s), got {len(wires)}")
         if len(set(wires)) != len(wires):
             raise ValueError(f"duplicate wires in {wires}")
         if any(w < 1 for w in wires):
@@ -51,39 +49,52 @@ class Circuit:
         _check_dim(self.d)
         if self.n < 1:
             raise ValueError(f"wire count must be >= 1, got {self.n}")
-        ops = tuple(self.ops)
-        object.__setattr__(self, "ops", ops)
-        for op in ops:
-            if any(w > self.n for w in op.wires):
+        object.__setattr__(self, "ops", tuple(self.ops))
+        for op in self.ops:
+            if max(op.wires) > self.n:
                 raise ValueError(f"wire out of range in {op.wires} for n={self.n}")
 
     @cached_property
     def gates(self) -> tuple[GateMatrix, ...]:
-        """The built gate of each op, in op order; each gate kind built once per circuit."""
+        """The built gate of each op, in op order; each kind built once per circuit or gate set."""
         built = {k: gate_matrix(k, self.d) for k in dict.fromkeys(op.kind for op in self.ops)}
         return tuple(built[op.kind] for op in self.ops)
 
 
-def _run(c: Circuit, t: np.ndarray, work: np.ndarray | None = None, first: int = 0) -> np.ndarray:
+def _run(c: Circuit, t: np.ndarray, first: int = 0) -> np.ndarray:
     """Apply the ops of ``c`` from op ``first`` on to the d^n rows of ``t``; returns (d^n, cols).
 
-    ``t`` is C-contiguous or permutes the axes of a C-contiguous array; the run
-    may overwrite it and ``work``, a spare array of its size.  A phase gate scales
-    in place; any other op reads its wire axes as d^k rows from one array,
-    copied there unless in order already, and writes the other.
+    ``t`` is C-contiguous or permutes the axes of a C-contiguous array, which the
+    run may overwrite; ``_steps`` runs the ops, and one last copy orders the result.
     """
-    t = t.reshape((c.d,) * c.n + (-1,))
+    t, work = _steps(c, t.reshape((c.d,) * c.n + (-1,)), None, first)
+    if not t.flags.c_contiguous:  # one last copy puts the axes back in order
+        np.copyto(work.reshape(t.shape), t)
+        t = work.reshape(t.shape)
+    return t.reshape(c.d**c.n, -1)
+
+
+def _steps(c: Circuit, t: np.ndarray, work: np.ndarray | None, first: int) -> tuple:
+    """The ops of ``c`` from op ``first`` on ``t``, (d,)*n + (cols,): (result, spare array).
+
+    The run may overwrite ``t`` and ``work``, a spare array of its size, and
+    the result keeps the axis order the last op left in memory.  Each op's
+    axes go first by ``transpose``: a phase gate scales in place; any other op
+    reads its wire axes as d^k rows from one array, copied there unless in
+    order already, and writes the other.
+    """
     a = t.ravel("K")  # t's own array, in memory order
     work = np.empty_like(a) if work is None else work
     for op, g in zip(c.ops[first:], c.gates[first:]):
         k = len(op.wires)
-        axes = [w - 1 for w in op.wires]
-        front = np.moveaxis(t, axes, range(k))
+        order = [w - 1 for w in op.wires]
+        order += [i for i in range(t.ndim) if i not in order]  # the op's wire axes first
+        front = t.transpose(order)
         if g.phases is not None:
             # taken in memory order, the multiply buffers only the phases
-            order = np.argsort(front.strides)[::-1]
-            ph = g.phases.reshape((c.d,) * k + (1,) * (t.ndim - k)).transpose(order)
-            np.multiply(ph, front.transpose(order), out=front.transpose(order))
+            mem = sorted(range(t.ndim), key=front.strides.__getitem__)[::-1]
+            ph = g.phases.reshape((c.d,) * k + (1,) * (t.ndim - k)).transpose(mem)
+            np.multiply(ph, front.transpose(mem), out=front.transpose(mem))
             continue
         if front.flags.c_contiguous:  # the rows are in order already: write to the other
             a, work = work, a
@@ -94,11 +105,8 @@ def _run(c: Circuit, t: np.ndarray, work: np.ndarray | None = None, first: int =
             out[g.perm] = rows
         else:
             np.matmul(g.matrix, rows, out=out)
-        t = np.moveaxis(out.reshape(front.shape), range(k), axes)
-    if not t.flags.c_contiguous:  # one last copy puts the axes back in order
-        np.copyto(work.reshape(t.shape), t)
-        t = work.reshape(t.shape)
-    return t.reshape(c.d**c.n, -1)
+        t = out.reshape(front.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
+    return t, work
 
 
 def _follow(c: Circuit, digits: np.ndarray) -> np.ndarray:
@@ -113,51 +121,55 @@ def _follow(c: Circuit, digits: np.ndarray) -> np.ndarray:
     return digits
 
 
-def _changed_wires(c: Circuit, op: GateOp, g: GateMatrix) -> set[int]:
-    """Wires of ``op`` in ``c`` whose digit ``g`` may change, read from the built gate.
-
-    Phases change no digit; a table changes a digit some label maps out of;
-    a dense gate changes a digit with a nonzero entry between labels that
-    differ in it.
-    """
+def _moved(g: GateMatrix, d: int, k: int) -> tuple[bool, ...]:
+    """Whether ``g``, a gate on k qudits, may change each of its digits: phases change
+    none; a table changes a digit some label maps out of; a dense gate changes a digit
+    with a nonzero entry between labels that differ in it."""
     if g.phases is not None:
-        return set()
-    digits = np.unravel_index(np.arange(g.dim), (c.d,) * len(op.wires))
+        return (False,) * k
+    digits = np.unravel_index(np.arange(g.dim), (d,) * k)
     if g.perm is not None:
-        return {w for w, x in zip(op.wires, digits) if np.any(x[g.perm] != x)}
-    return {w for w, x in zip(op.wires, digits)
-            if np.any(g.matrix[x[:, None] != x] != 0)}
+        return tuple(bool((x[g.perm] != x).any()) for x in digits)
+    return tuple(bool(g.matrix[x[:, None] != x].any()) for x in digits)
+
+
+def _label_map(d: int, n: int, free: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """``_blocks``' (base, parts, col) for the free wire axes ``free``."""
+    labels = np.arange(d**n)
+    place = d ** np.arange(n - 1, -1, -1)[list(free)]  # the place value of each free digit
+    digits = labels // place[:, None] % d  # (f, d^n): each label's free digits
+    base = labels - place @ digits
+    # parts: the labels whose kept digits are all 0
+    return base, np.flatnonzero(base == 0), d ** np.arange(len(free) - 1, -1, -1) @ digits
 
 
 def _blocks(c: Circuit) -> tuple[np.ndarray, ...]:
     """(blocks, spare, base, parts, col): the ops run on the identity over the free wires.
 
     No op changes a kept wire's digit, so row r of the unitary is 0 off its
-    block, and ``blocks`` (d^n, d^f) holds the rest: ``blocks[r, j]`` is the
-    entry at column ``base[r] + parts[j]``.  ``base`` is each label's kept
-    part, ``parts`` the free parts of the block columns, in order, and
+    block, and ``blocks``, (d,)*n + (d^f,) with its axes in the run's memory
+    order, holds the rest: the entry at row r's digits and block column j is
+    the unitary's at column ``base[r] + parts[j]``.  ``base`` is each label's
+    kept part, ``parts`` the free parts of the block columns, in order, and
     ``col`` each label's own block column.  The blocks and ``spare`` are the
     two halves of one array, made on each call.
     """
     d, n = c.d, c.n
-    changed = set().union(*(_changed_wires(c, op, g) for op, g in zip(c.ops, c.gates)))
-    free = [w for w in range(n) if w + 1 in changed]
+    free = sorted({w - 1 for op, g in zip(c.ops, c.gates)
+                   for w, moved in zip(op.wires, shared(_moved, g, d, len(op.wires))) if moved})
     _check_budget(d, n + len(free))
-    size, k = d ** (n + len(free)), len(free)
-    half = np.empty((2, size), dtype=np.complex128)
-    labels = np.arange(d**n)
-    place = d ** np.arange(n - 1, -1, -1)[free]  # the place value of each free digit
-    digits = labels // place[:, None] % d  # (f, d^n): each label's free digits
-    base = labels - place @ digits
-    parts = np.flatnonzero(base == 0)  # the labels whose kept digits are all 0
-    col = d ** np.arange(k - 1, -1, -1) @ digits
+    # the label map comes first, so nothing a gate set keeps lies above the large
+    # array in the heap, where freeing it would trim the heap and fault it back in
+    k, labels = len(free), shared(_label_map, d, n, tuple(free))
+    half = np.empty((2, d ** (n + k)), dtype=np.complex128)
     # the identity once per kept part, free wire axes first; a dense op 0 on the
     # free wires alone is its own product with the identity, written in its place
     first = int(c.gates[0].matrix is not None and free == [w - 1 for w in c.ops[0].wires])
     g = c.gates[0].matrix if first else np.eye(d**k)
     np.copyto(half[0].reshape((d,) * k + (-1,) + (d,) * k), g.reshape((d,) * k + (1,) + (d,) * k))
-    blocks = _run(c, np.moveaxis(half[0].reshape((d,) * n + (-1,)), range(k), free), half[1], first)
-    return blocks, half[1] if np.may_share_memory(blocks, half[0]) else half[0], base, parts, col
+    order = free + [w for w in range(n + 1) if w not in free]  # the label axes in memory order
+    t = half[0].reshape((d,) * n + (-1,)).transpose(sorted(range(n + 1), key=order.__getitem__))
+    return (*_steps(c, t, half[1], first), *labels)
 
 
 def circuit_unitary(c: Circuit) -> GateMatrix:
@@ -174,11 +186,13 @@ def circuit_unitary(c: Circuit) -> GateMatrix:
     if all(g.perm is not None for g in c.gates):
         # entry i of the run is the label that lands on i: the inverse table
         return GateMatrix(perm=_run(c, np.arange(d**n))[:, 0]).dagger()
-    blocks, _, base, parts, _ = _blocks(c)
+    blocks, spare, base, parts, _ = _blocks(c)
+    rows = spare.reshape(d**n, -1)
+    np.copyto(rows.reshape(blocks.shape), blocks)  # the blocks in label order
     if parts.size == 1:  # no free wire: each row's block is its diagonal entry
-        return GateMatrix(phases=blocks[:, 0])
+        return GateMatrix(phases=rows[:, 0])
     out = np.zeros((d**n, d**n), dtype=np.complex128)
-    out[np.arange(d**n)[:, None], base[:, None] + parts] = blocks
+    out[np.arange(d**n)[:, None], base[:, None] + parts] = rows
     return GateMatrix(out)
 
 
@@ -186,8 +200,9 @@ def table_dist(c: Circuit, table: GateMatrix) -> float:
     """``max_entry_dist(circuit_unitary(c), table)``, without a d^n x d^n array.
 
     Blocks are read as |b| off the table's 1s and |b - 1| on them; a row whose
-    1 lies outside its block adds 1.0, as the unitary holds 0 there; the
-    spare half of ``_blocks``' array holds those distances.
+    1 lies outside its block adds 1.0, as the unitary holds 0 there.  The
+    blocks are read in the run's own order, and the spare half of
+    ``_blocks``' array holds those distances.
     """
     d, n = c.d, c.n
     if table.perm is None or table.dim != d**n:
@@ -198,57 +213,52 @@ def table_dist(c: Circuit, table: GateMatrix) -> float:
         return 0.0 if np.array_equal(table.perm[landed], np.arange(d**n)) else 1.0
     blocks, spare, base, _, col = _blocks(c)
     own = base[table.perm] == base  # the columns whose 1 lies in their own block
-    blocks[table.perm[own], col[own]] -= 1
-    dist = np.abs(blocks, out=spare.view(np.float64)[:blocks.size].reshape(blocks.shape))
+    blocks[(*np.unravel_index(table.perm[own], (d,) * n), col[own])] -= 1
+    dist = np.abs(blocks.ravel("K"), out=spare.view(np.float64)[:blocks.size])
     return max(float(dist.max()), 0.0 if own.all() else 1.0)
 
 
 def simulate(c: Circuit, s: StateVector) -> StateVector:
     """Apply the circuit gate by gate; agrees with the full unitary product."""
     if s.d != c.d or s.n != c.n:
-        raise DimensionError(
-            f"state ({s.d}, {s.n}) does not match circuit ({c.d}, {c.n})"
-        )
+        raise DimensionError(f"state ({s.d}, {s.n}) does not match circuit ({c.d}, {c.n})")
     _check_budget(c.d, c.n)
     with np.errstate(over="ignore", invalid="ignore"):  # StateVector names a non-finite result
         amps = _run(c, s.amps.copy())[:, 0]
     return StateVector(c.d, c.n, amps)
 
 
+# the ops of each circuit builder: an op holds no d, so one tuple serves every d
+_SWAP_OPS = tuple(GateOp(GateKind.CXTilde, w) for w in ((2, 1), (1, 2), (2, 1)))
+_SWAP_ALT_OPS = tuple(GateOp(GateKind.CXTilde, w) for w in ((1, 2), (2, 1), (1, 2)))
+_DECOMPOSITION_OPS = (
+    GateOp(GateKind.QFT, (2,)), GateOp(GateKind.CZd, (1, 2)), GateOp(GateKind.QFT, (2,))
+)
+_DECOMPOSITION_ALT_OPS = (
+    GateOp(GateKind.IQFT, (2,)), GateOp(GateKind.CZdDag, (1, 2)), GateOp(GateKind.IQFT, (2,))
+)
+_PARTIAL_SWAP_OPS = (GateOp(GateKind.CXd, (1, 2)), GateOp(GateKind.CXdDag, (2, 1)))
+_ASYMMETRIC_SWAP_OPS = (*_PARTIAL_SWAP_OPS, GateOp(GateKind.CXd, (1, 2)), GateOp(GateKind.Xd, (1,)))
+
+
 def swap_circuit(d: int) -> Circuit:
     """Three negated-sum gates alternating control wires; a full qudit SWAP."""
-    return Circuit(d, 2, (
-        GateOp(GateKind.CXTilde, (2, 1)),
-        GateOp(GateKind.CXTilde, (1, 2)),
-        GateOp(GateKind.CXTilde, (2, 1)),
-    ))
+    return Circuit(d, 2, _SWAP_OPS)
 
 
 def swap_circuit_alt(d: int) -> Circuit:
     """Upside-down variant of :func:`swap_circuit`; also a full SWAP."""
-    return Circuit(d, 2, (
-        GateOp(GateKind.CXTilde, (1, 2)),
-        GateOp(GateKind.CXTilde, (2, 1)),
-        GateOp(GateKind.CXTilde, (1, 2)),
-    ))
+    return Circuit(d, 2, _SWAP_ALT_OPS)
 
 
 def cx_tilde_decomposition(d: int) -> Circuit:
     """QFT on the target, controlled phase, QFT on the target again."""
-    return Circuit(d, 2, (
-        GateOp(GateKind.QFT, (2,)),
-        GateOp(GateKind.CZd, (1, 2)),
-        GateOp(GateKind.QFT, (2,)),
-    ))
+    return Circuit(d, 2, _DECOMPOSITION_OPS)
 
 
 def cx_tilde_decomposition_alt(d: int) -> Circuit:
     """Adjoint decomposition (IQFT, inverse phase, IQFT); equal by involution."""
-    return Circuit(d, 2, (
-        GateOp(GateKind.IQFT, (2,)),
-        GateOp(GateKind.CZdDag, (1, 2)),
-        GateOp(GateKind.IQFT, (2,)),
-    ))
+    return Circuit(d, 2, _DECOMPOSITION_ALT_OPS)
 
 
 def asymmetric_swap_circuit(d: int) -> Circuit:
@@ -258,29 +268,18 @@ def asymmetric_swap_circuit(d: int) -> Circuit:
     everything mod d.  Validated by brute-force comparison against the SWAP
     permutation in the verification suite.
     """
-    return Circuit(d, 2, (
-        GateOp(GateKind.CXd, (1, 2)),
-        GateOp(GateKind.CXdDag, (2, 1)),
-        GateOp(GateKind.CXd, (1, 2)),
-        GateOp(GateKind.Xd, (1,)),
-    ))
+    return Circuit(d, 2, _ASYMMETRIC_SWAP_OPS)
 
 
 def partial_swap_circuit(d: int) -> Circuit:
     """Maps |phi>|0> to |0>|phi> for any phi; not a full SWAP."""
-    return Circuit(d, 2, (
-        GateOp(GateKind.CXd, (1, 2)),
-        GateOp(GateKind.CXdDag, (2, 1)),
-    ))
+    return Circuit(d, 2, _PARTIAL_SWAP_OPS)
 
 
 def expand_cx_tilde(c: Circuit) -> Circuit:
     """Rewrite each negated-sum gate into its QFT / phase / QFT expansion."""
-    expansion = cx_tilde_decomposition(c.d).ops  # wire 1 the control, wire 2 the target
     ops: list[GateOp] = []
-    for op in c.ops:
-        if op.kind is GateKind.CXTilde:
-            ops += (GateOp(e.kind, tuple(op.wires[w - 1] for w in e.wires)) for e in expansion)
-        else:
-            ops.append(op)
+    for op in c.ops:  # wire 1 of the expansion is the control, wire 2 the target
+        ops += ([GateOp(e.kind, tuple(op.wires[w - 1] for w in e.wires))
+                 for e in _DECOMPOSITION_OPS] if op.kind is GateKind.CXTilde else [op])
     return Circuit(c.d, c.n, tuple(ops))

@@ -21,6 +21,8 @@ from .circuit import Circuit, GateOp
 from .gates import GateKind
 
 MNEMONICS = {kind.value: kind for kind in GateKind}
+# each header's value: what it is, and its least value
+_HEADERS = {"dim": ("dimension", 2), "wires": ("wire count", 1)}
 
 
 @dataclass(frozen=True)
@@ -70,26 +72,18 @@ def parse(text: str) -> Circuit:
             continue
         col, head = toks[0]
 
-        if head == "dim":
-            if d is not None:
-                raise ParseError(lineno, col, "duplicate 'dim' header", head)
-            if len(toks) != 2:
-                raise ParseError(lineno, col, "'dim' takes exactly one integer", head)
-            d = _int_token(lineno, toks[1][0], toks[1][1], "dimension")
-            if d < 2:
-                raise ParseError(lineno, toks[1][0], "dimension must be >= 2", toks[1][1])
-            continue
-
-        if head == "wires":
-            if d is None:
+        if head in _HEADERS:
+            if head == "wires" and d is None:
                 raise ParseError(lineno, col, "'wires' before 'dim' header", head)
-            if n is not None:
-                raise ParseError(lineno, col, "duplicate 'wires' header", head)
+            if (d if head == "dim" else n) is not None:
+                raise ParseError(lineno, col, f"duplicate '{head}' header", head)
             if len(toks) != 2:
-                raise ParseError(lineno, col, "'wires' takes exactly one integer", head)
-            n = _int_token(lineno, toks[1][0], toks[1][1], "wire count")
-            if n < 1:
-                raise ParseError(lineno, toks[1][0], "wire count must be >= 1", toks[1][1])
+                raise ParseError(lineno, col, f"'{head}' takes exactly one integer", head)
+            (vcol, tok), (what, least) = toks[1], _HEADERS[head]
+            value = _int_token(lineno, vcol, tok, what)
+            if value < least:
+                raise ParseError(lineno, vcol, f"{what} must be >= {least}", tok)
+            d, n = (value, n) if head == "dim" else (d, value)
             continue
 
         if d is None or n is None:

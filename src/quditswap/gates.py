@@ -11,6 +11,7 @@ gates index one vector of roots of unity; ``gate_matrix`` builds any kind.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 
 import numpy as np
@@ -34,9 +35,19 @@ class GateKind(enum.Enum):
 
     @property
     def arity(self) -> int:
-        if self in (GateKind.QFT, GateKind.IQFT, GateKind.Xd, GateKind.Identity):
-            return 1
-        return 2
+        return 1 if self in (GateKind.QFT, GateKind.IQFT, GateKind.Xd, GateKind.Identity) else 2
+
+
+GATE_SET: contextvars.ContextVar[dict | None] = contextvars.ContextVar("gate_set", default=None)
+
+
+def shared(build, *args):
+    """``build(*args)``, made once per key (build, *args) while a gate set (a dict its opener puts
+    in ``GATE_SET``, then resets) is open: a patched builder is another key.  Else made anew."""
+    built, key = GATE_SET.get(), (build, *args)
+    if built is not None and key not in built:
+        built[key] = build(*args)
+    return build(*args) if built is None else built[key]
 
 
 def _digits(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -47,24 +58,24 @@ def _digits(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _powers(d: int, sign: int) -> np.ndarray:
     """e^{sign i 2pi a b / d} at each two-digit label (a, b), read from one vector of d roots."""
-    a, b = _digits(d)
+    a, b = shared(_digits, d)
     phase = sign * 2.0 * np.pi * np.arange(d) / d  # conjugating sign +1 would flip signed zeros
     return (np.cos(phase) + 1j * np.sin(phase))[(a * b) % d]
 
 
 def qft(d: int) -> GateMatrix:
     """Quantum Fourier transform: entry (k, x) = e^{i 2pi x k / d} / sqrt(d)."""
-    return GateMatrix((_powers(d, +1) / np.sqrt(d)).reshape(d, d))
+    return GateMatrix((shared(_powers, d, +1) / np.sqrt(d)).reshape(d, d))
 
 
 def iqft(d: int) -> GateMatrix:
     """Inverse QFT, the conjugate transpose of :func:`qft`."""
-    return qft(d).dagger()
+    return shared(qft, d).dagger()
 
 
 def cz_d(d: int) -> GateMatrix:
     """Controlled phase: multiplies basis state (x, y) by e^{i 2pi x y / d}."""
-    return GateMatrix(phases=_powers(d, +1))
+    return GateMatrix(phases=shared(_powers, d, +1))
 
 
 def cz_d_dag(d: int) -> GateMatrix:
@@ -77,19 +88,19 @@ def cx_tilde(d: int) -> GateMatrix:
 
     At d=2 this is the CNOT.
     """
-    x, y = _digits(d)
+    x, y = shared(_digits, d)
     return GateMatrix(perm=x * d + (-x - y) % d)
 
 
 def cx_d(d: int) -> GateMatrix:
     """Controlled modular adder (x, y) -> (x, x+y mod d)."""
-    x, y = _digits(d)
+    x, y = shared(_digits, d)
     return GateMatrix(perm=x * d + (x + y) % d)
 
 
 def cx_d_dag(d: int) -> GateMatrix:
     """Controlled modular subtractor (x, y) -> (x, y-x mod d)."""
-    x, y = _digits(d)
+    x, y = shared(_digits, d)
     return GateMatrix(perm=x * d + (y - x) % d)
 
 
@@ -104,7 +115,7 @@ def x_d(d: int) -> GateMatrix:
 
 def swap_ref(d: int) -> GateMatrix:
     """Ground-truth SWAP permutation (x, y) -> (y, x)."""
-    x, y = _digits(d)
+    x, y = shared(_digits, d)
     return GateMatrix(perm=y * d + x)
 
 
@@ -129,5 +140,5 @@ _BUILDERS = {
 
 
 def gate_matrix(kind: GateKind, d: int) -> GateMatrix:
-    """Canonical matrix of a gate kind at dimension d (control digit first)."""
-    return _BUILDERS[kind](d)
+    """Canonical matrix of a gate kind at dimension d (control digit first), via ``shared``."""
+    return shared(_BUILDERS[kind], d)

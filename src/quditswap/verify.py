@@ -29,10 +29,11 @@ from .circuit import (
     swap_circuit_alt,
     table_dist,
 )
-from .gates import GateKind, cx_tilde, identity_gate, swap_ref
+from .gates import GATE_SET, GateKind, cx_tilde, identity_gate, shared, swap_ref
 
 DENSE_TOL = 1e-10
 PERM_TOL = 0.0
+_CX_TILDE_SQUARED = (GateOp(GateKind.CXTilde, (1, 2)),) * 2
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,10 @@ class VerificationReport:
         return self.max_dev <= self.tolerance
 
 
-def _table_dev(target, *circuits) -> float:
-    """The largest ``table_dist`` of the circuits from the table ``target``."""
-    return max(table_dist(c, target) for c in circuits)
+def _table_dev(d: int, target, *circuits) -> float:
+    """The largest ``table_dist``, one per gate set, of the circuits at d from ``target(d)``."""
+    table = shared(target, d)
+    return max(shared(table_dist, circuit(d), table) for circuit in circuits)
 
 
 def _partial_swap_dev(d: int) -> float:
@@ -83,27 +85,23 @@ def _exact(d: int) -> float:
 # look their builders up at call time, so a wrapper on the module sees them.
 IDENTITIES = {
     # both three-gate SWAP circuits equal the SWAP permutation
-    "swap": (lambda d: _table_dev(swap_ref(d), swap_circuit(d), swap_circuit_alt(d)), _exact),
+    "swap": (lambda d: _table_dev(d, swap_ref, swap_circuit, swap_circuit_alt), _exact),
     # both QFT/phase decompositions reproduce the negated-sum gate
     "decomposition": (
-        lambda d: _table_dev(cx_tilde(d), cx_tilde_decomposition(d), cx_tilde_decomposition_alt(d)),
+        lambda d: _table_dev(d, cx_tilde, cx_tilde_decomposition, cx_tilde_decomposition_alt),
         lambda d: DENSE_TOL,
     ),
     # the negated-sum gate squared is the identity
-    "self_inverse": (
-        lambda d: _table_dev(
-            identity_gate(d, 2), Circuit(d, 2, (GateOp(GateKind.CXTilde, (1, 2)),) * 2)
-        ),
-        _exact,
-    ),
+    "self_inverse": (lambda d: _table_dev(
+        d, lambda d: identity_gate(d, 2), lambda d: Circuit(d, 2, _CX_TILDE_SQUARED)), _exact),
     # the geometric sum over d-th roots of unity collapses to d * delta
     "delta_sum": (_delta_sum_dev, lambda d: 1e-9 * d),
     # the adder/subtractor/complement reconstruction is a SWAP
-    "asymmetric_swap": (lambda d: _table_dev(swap_ref(d), asymmetric_swap_circuit(d)), _exact),
+    "asymmetric_swap": (lambda d: _table_dev(d, swap_ref, asymmetric_swap_circuit), _exact),
     "partial_swap": (_partial_swap_dev, _exact),
-    # SWAP transposes the amplitudes of every two-qudit state: by linearity,
-    # exactly when its table is the SWAP table
-    "random_states": (lambda d: _table_dev(swap_ref(d), swap_circuit(d)), _exact),
+    # SWAP transposes the amplitudes of every two-qudit state exactly when its
+    # table is the SWAP table (linearity); verify_all reads the swap row's distance
+    "random_states": (lambda d: _table_dev(d, swap_ref, swap_circuit), _exact),
 }
 
 
@@ -128,7 +126,15 @@ def check_d_range(d_min: int, d_max: int) -> None:
 def verify_all(d_min: int, d_max: int, seed: int = 42) -> list[VerificationReport]:
     """Run every row of ``IDENTITIES`` for each d in [d_min, d_max], in order.
 
+    The rows at one d share one gate set, so each gate is built once per d.
     ``seed`` is accepted for callers that pass one, but no check samples.
     """
     check_d_range(d_min, d_max)
-    return [verify_identity(name, d) for d in range(d_min, d_max + 1) for name in IDENTITIES]
+    reports = []
+    for d in range(d_min, d_max + 1):
+        token = GATE_SET.set({})  # the rows' gate set at d, dropped when the d is done
+        try:
+            reports += [verify_identity(name, d) for name in IDENTITIES]
+        finally:
+            GATE_SET.reset(token)
+    return reports

@@ -202,7 +202,45 @@ def identity_start_blocks(c):
     _, _, base, parts, col = _blocks(c)
     blocks = np.zeros((col.size, col.max() + 1), dtype=np.complex128)
     blocks[np.arange(col.size), col] = 1.0
-    return _run(c, blocks), np.empty(blocks.size, dtype=np.complex128), base, parts, col
+    blocks = _run(c, blocks).reshape((c.d,) * c.n + (-1,))
+    return blocks, np.empty(blocks.size, dtype=np.complex128), base, parts, col
+
+
+def moveaxis_run(c, t: np.ndarray, first: int = 0) -> np.ndarray:
+    """The wire-axis kernel written with ``np.moveaxis`` and ``np.argsort``, ``_run``'s reference.
+
+    It applies the same ops to the same operand layouts, from the same built
+    gates, so ``_run`` must match it bit for bit.  Each op's axes are moved to
+    the front by ``np.moveaxis``, the phases are taken in the memory order that
+    ``np.argsort`` of the strides gives, and the result is copied into label
+    order at the end.
+    """
+    t = t.reshape((c.d,) * c.n + (-1,))
+    a = t.ravel("K")
+    work = np.empty_like(a)
+    for op, g in zip(c.ops[first:], c.gates[first:]):
+        k = len(op.wires)
+        axes = [w - 1 for w in op.wires]
+        front = np.moveaxis(t, axes, range(k))
+        if g.phases is not None:
+            order = np.argsort(front.strides)[::-1]
+            ph = g.phases.reshape((c.d,) * k + (1,) * (t.ndim - k)).transpose(order)
+            np.multiply(ph, front.transpose(order), out=front.transpose(order))
+            continue
+        if front.flags.c_contiguous:
+            a, work = work, a
+        else:
+            np.copyto(work.reshape(front.shape), front)
+        rows, out = work.reshape(c.d**k, -1), a.reshape(c.d**k, -1)
+        if g.perm is not None:
+            out[g.perm] = rows
+        else:
+            np.matmul(g.matrix, rows, out=out)
+        t = np.moveaxis(out.reshape(front.shape), range(k), axes)
+    if not t.flags.c_contiguous:
+        np.copyto(work.reshape(t.shape), t)
+        t = work.reshape(t.shape)
+    return t.reshape(c.d**c.n, -1)
 
 
 def delta_sum_max_dev(d: int) -> float:

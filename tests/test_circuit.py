@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -311,17 +313,25 @@ def test_simulate_dimension_mismatch():
 
 @pytest.fixture
 def build_count(monkeypatch):
-    """Count the gate builds the circuit module makes."""
-    import quditswap.circuit as circuit_mod
+    """Count every gate build: one counting wrapper per constructor, in ``_BUILDERS``
+    and under each module name the package calls it by, so the wrappers share keys."""
+    import quditswap.gates as gates_mod
+    import quditswap.verify as verify_mod
 
     calls = []
-    build = circuit_mod.gate_matrix
 
-    def counted(kind, d):
-        calls.append(kind)
-        return build(kind, d)
+    def counted(kind, build):
+        def wrapper(*args):
+            calls.append(kind)
+            return build(*args)
+        return wrapper
 
-    monkeypatch.setattr(circuit_mod, "gate_matrix", counted)
+    wrapped = {build: counted(kind, build) for kind, build in gates_mod._BUILDERS.items()}
+    for kind, build in list(gates_mod._BUILDERS.items()):
+        monkeypatch.setitem(gates_mod._BUILDERS, kind, wrapped[build])
+    for mod, name in ((gates_mod, "qft"), (verify_mod, "cx_tilde"), (verify_mod, "swap_ref"),
+                      (verify_mod, "identity_gate")):
+        monkeypatch.setattr(mod, name, wrapped[getattr(mod, name)])
     return calls
 
 
@@ -347,10 +357,56 @@ def test_cli_simulate_builds_each_gate_kind_once(build_count, tmp_path, capsys):
 
 
 def test_verify_all_builds_each_gate_kind_once_per_circuit(build_count):
-    # swap 2 + 2, decomposition 2 + 2, self_inverse 1, asymmetric_swap 3,
-    # partial_swap 2, random_states 1; delta_sum builds no gate
+    # the rows and their circuits share one gate set per d: each of the ten
+    # constructors runs once (the IQFT's QFT is the circuits' QFT); delta_sum
+    # builds none
     verify_all(32, 32)
-    assert len(build_count) == 13
+    assert Counter(build_count) == {kind: 1 for kind in GateKind}
+    verify_all(32, 33)
+    assert len(build_count) == 10 + 20
+
+
+def test_a_builder_patched_between_verify_all_calls_is_seen(monkeypatch):
+    import functools
+
+    import quditswap.gates as gates_mod
+
+    assert all(r.passed for r in verify_all(3, 3))
+
+    @functools.wraps(cx_tilde)  # named like the builder, as a profiling hook's wrapper is
+    def identity_instead(d):
+        return identity_gate(d, 2)
+
+    monkeypatch.setitem(gates_mod._BUILDERS, GateKind.CXTilde, identity_instead)
+    failed = {r.identity_name for r in verify_all(3, 3) if not r.passed}
+    # the decomposition's target stays the true table; the identity squared passes
+    assert failed == {"swap", "random_states"}
+
+
+def test_a_row_that_raises_leaves_no_gate_set_behind(monkeypatch):
+    import quditswap.gates as gates_mod
+    import quditswap.verify as verify_mod
+
+    def boom(d):
+        raise RuntimeError("row failed")
+
+    monkeypatch.setitem(verify_mod.IDENTITIES, "delta_sum", (boom, lambda d: 0.0))
+    with pytest.raises(RuntimeError):
+        verify_all(4, 4)
+    assert gates_mod.GATE_SET.get() is None
+    # outside a gate set, every build is a new gate
+    assert cx_tilde_decomposition(4).gates[0] is not cx_tilde_decomposition(4).gates[0]
+
+
+def test_verify_all_takes_each_table_distance_once_per_d(monkeypatch):
+    import quditswap.verify as verify_mod
+
+    calls, dist = [], verify_mod.table_dist
+    monkeypatch.setattr(verify_mod, "table_dist", lambda c, t: calls.append(c) or dist(c, t))
+    # swap 2, decomposition 2, self_inverse 1, asymmetric_swap 1; random_states
+    # reads the swap row's distance of swap_circuit(d) from the SWAP table
+    assert all(r.passed for r in verify_all(5, 5))
+    assert len(calls) == len(set(calls)) == 6
 
 
 def test_ops_carry_no_dimension_and_serve_every_d():

@@ -110,6 +110,37 @@ def test_run_in_place_matches_oracle_product(c, cols, seed):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@st.composite
+def kernel_cases(draw):
+    """A circuit of tables, phase gates and dense ops on d 2..9 and n 1..4 wires,
+    the op the run starts from, and an input laid out in a drawn axis order."""
+    d = draw(st.integers(2, 9))
+    n = draw(st.integers(1, 4))
+    c = draw(circuits_on(d, n))
+    first = draw(st.integers(0, len(c.ops)))
+    shape = (d,) * n + (draw(st.integers(1, 3)),)
+    axes = draw(st.permutations(range(n + 1)))  # memory order of the label and column axes
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stored = [shape[a] for a in axes]
+    x = rng.standard_normal(stored) + 1j * rng.standard_normal(stored)
+    return c, first, x, sorted(range(n + 1), key=axes.__getitem__)
+
+
+@settings(deadline=None, max_examples=200)
+@given(kernel_cases())
+@example((cx_tilde_decomposition(9), 1, np.ones((9, 9, 3)) * (1 - 0.5j), [1, 0, 2]))
+@example((Circuit(3, 3, (GateOp(GateKind.CZd, (3, 1)), GateOp(GateKind.QFT, (2,)),
+                         GateOp(GateKind.CXd, (2, 3)), GateOp(GateKind.CZdDag, (1, 2)))),
+          0, np.arange(54.0).reshape(2, 3, 3, 3) * (0.5 + 1j), [1, 2, 3, 0]))
+def test_run_matches_the_moveaxis_kernel_bit_for_bit(case):
+    c, first, x, back = case
+    got = _run(c, x.copy().transpose(back), first=first)
+    want = oracles.moveaxis_run(c, x.copy().transpose(back), first)
+    assert got.shape == want.shape
+    # compared as int64 words, so that a zero's sign counts
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_run_of_an_empty_circuit_returns_the_input_values():
     x = np.arange(12, dtype=np.complex128).reshape(12, 1) * (1 - 2j)
     assert np.array_equal(_run(Circuit(2, 2), x.reshape(4, 3).copy()), x.reshape(4, 3))
@@ -553,13 +584,17 @@ def _oracle_dev(name, d):
 @pytest.mark.parametrize("d", [2, 3, 7])
 def test_every_row_fails_exactly_when_the_slow_oracle_does(monkeypatch, kind, d):
     monkeypatch.setitem(gates._BUILDERS, kind, _one_exchange(gates._BUILDERS[kind]))
-    failed = []
+    failed, rows = [], []
     for name in IDENTITIES:
         r = verify_identity(name, d)
         assert r.passed == (_oracle_dev(name, d) <= r.tolerance), (name, r.max_dev)
         failed += [] if r.passed else [name]
+        rows.append(r)
     # every kind that some row's circuits use is caught by one row at least
     assert bool(failed) == (kind not in (GateKind.SWAP, GateKind.Identity))
+    # the rows sharing one gate set give the same reports: the set hands the
+    # patched gate to no target, and no target to a circuit
+    assert verify_all(d, d) == rows
 
 
 def _cli_out(argv):

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import quditswap
 
 from quditswap.core import DimensionError, StateVector
 from quditswap.circuit import simulate, swap_circuit
@@ -147,3 +154,33 @@ def test_verify_all_deterministic():
 
 def test_verify_all_green():
     assert all(r.passed for r in verify_all(2, 16))
+
+
+_HELD_ARRAYS_RUN = """
+import resource
+import numpy as np
+from quditswap.verify import verify_all
+
+def faults(passes):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(passes):
+        verify_all(32, 32)
+        verify_all(40, 40)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+held = [np.ones(1000 + k) for k in range(40)]  # arrays the caller keeps between calls
+faults(3)
+print(faults(10))
+"""
+
+
+def test_verify_all_faults_in_no_pages_while_the_caller_holds_arrays():
+    # glibc returns the free top of the heap to the kernel; were a gate set's
+    # label map made after a circuit's large array, the map would sit above it,
+    # and each freed array would be given back and faulted in again: about
+    # 1,000 minor faults (4 MB) a pass in this fresh process
+    src = str(Path(quditswap.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _HELD_ARRAYS_RUN], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert int(out) < 10 * 100
