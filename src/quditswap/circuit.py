@@ -2,10 +2,10 @@
 
 Op order is temporal order (leftmost figure gate first); the circuit unitary
 is the product of the ops with the first op as the rightmost factor.  The
-kernel ``_run`` is the only code that applies a gate to amplitudes, and may
-overwrite the array it is given; ``_follow`` moves labels through tables.
-Wires are 1-based with wire 1 on top, matching the subscript convention
-where a gate written with control i and target j acts control-on-wire-i.
+kernel ``_steps``, which ``_run`` and ``_blocks`` call, alone applies gates
+to amplitudes and may overwrite its arrays; ``_follow`` moves labels through
+tables.  Wires are 1-based, wire 1 on top, as in the subscript convention:
+a gate written with control i and target j acts control-on-wire-i.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Command-line front end: verify, matrix, simulate, parse.
 
 Exit codes: 0 success (all checks passed), 1 verification failure,
-2 usage, parse or output error.  The commands raise; ``main`` alone turns
-a ``ParseError``, ``ValueError`` or ``OSError`` into one stderr line and
-exit 2, and flushes stdout itself: a gone reader is an output error too.
+2 usage, parse, output or memory error.  The commands raise; ``main`` alone
+turns each such error into one stderr line and exit 2, and flushes stdout
+itself: a gone reader is an output error too.
 """
 
 from __future__ import annotations
@@ -94,23 +94,18 @@ def _write_matrix(m: np.ndarray | GateMatrix, fmt: str) -> None:
     _write(*form, size, lambda s: (m[s] if isinstance(m, np.ndarray) else _dense_rows(m, s),))
 
 
-def _floats(tokens: list[str]) -> np.ndarray:
-    return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
-
-
 def _read_lines(lines) -> np.ndarray:
     """(re, im) float pairs, flat, read one line at a time."""
-    tokens: list[str] = []
+    values: list[float] = []
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
-            _floats(tokens)  # a bad number on an earlier line is reported first
             raise ValueError(f"expected 're im' per line, got {raw!r}")
-        tokens += parts
-    return _floats(tokens)
+        values += float(parts[0]), float(parts[1])
+    return np.array(values, dtype=np.float64)
 
 
 def _parse_pairs(fh) -> np.ndarray | None:
@@ -220,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-    except (ValueError, OSError) as exc:  # UnicodeDecodeError and DimensionError too
+    except (ValueError, OSError, MemoryError) as exc:  # UnicodeDecodeError, DimensionError too
         if isinstance(exc, BrokenPipeError):  # the flush at exit writes the rest to nowhere
             with open(os.devnull, "w") as null, contextlib.suppress(OSError):
                 os.dup2(null.fileno(), sys.stdout.fileno())  # a captured stdout has no fileno

@@ -15,6 +15,7 @@ parse(render(c)) reproduces the circuit exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .circuit import Circuit, GateOp
@@ -41,17 +42,6 @@ class ParseError(Exception):
         return f"{where}: {self.message}"
 
 
-def _tokens(line: str) -> list[tuple[int, str]]:
-    """(column, token) pairs, columns 1-based."""
-    out = []
-    col = 0
-    for tok in line.split():
-        col = line.index(tok, col)
-        out.append((col + 1, tok))
-        col += len(tok)
-    return out
-
-
 def _int_token(lineno: int, col: int, tok: str, what: str) -> int:
     try:
         return int(tok)
@@ -67,7 +57,7 @@ def parse(text: str) -> Circuit:
     lines = text.split("\n")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
-        toks = _tokens(line)
+        toks = [(m.start() + 1, m[0]) for m in re.finditer(r"\S+", line)]  # 1-based columns
         if not toks:
             continue
         col, head = toks[0]

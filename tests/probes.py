@@ -46,12 +46,16 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def child_env() -> dict:
+    """The environment of a measured child: BLAS on one thread, the package the tests import."""
+    src = str(Path(quditswap.__file__).resolve().parents[1])
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+
+
 def _peak_rss(argv) -> int:
     """Peak RSS in bytes of a fresh ``python *argv``, stdout to devnull; its exit code must be 0."""
-    src = str(Path(quditswap.__file__).resolve().parents[1])  # the package the tests import
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-I", "-S", "-c", _SPAWN, sys.executable, *argv],
-                         env=env, stdout=subprocess.PIPE, check=True, text=True).stdout
+                         env=child_env(), stdout=subprocess.PIPE, check=True, text=True).stdout
     code, max_rss_kib = map(int, out.split())
     assert code == 0, (argv, code)
     return max_rss_kib * 1024

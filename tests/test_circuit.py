@@ -27,6 +27,7 @@ from quditswap.core import (
 from quditswap.gates import GateKind, cx_tilde, identity_gate, swap_ref
 from quditswap.verify import verify_all, verify_identity
 
+import oracles
 from oracles import apply, kron, matmul
 
 # independent oracle: simulate the circuits on basis labels with plain
@@ -81,8 +82,10 @@ def test_gateop_validation():
 
 def test_circuit_validation():
     op = GateOp(GateKind.QFT, (3,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="wire out of range"):
         Circuit(3, 2, (op,))
+    with pytest.raises(ValueError, match="wire count must be >= 1, got 0"):
+        Circuit(3, 0)
 
 
 def embed(op, d, n):
@@ -136,7 +139,7 @@ def test_circuit_unitary_empty_and_single():
     assert max_entry_dist(circuit_unitary(Circuit(3, 2)), identity_gate(3, 2)) == 0
     op = GateOp(GateKind.CXd, (1, 2))
     c = Circuit(3, 2, (op,))
-    assert max_entry_dist(circuit_unitary(c), embed(op, 3, 2)) == 0
+    assert max_entry_dist(circuit_unitary(c), GateMatrix(oracles.embed(op, 3, 2))) == 0
 
 
 def test_circuit_unitary_order():

@@ -13,6 +13,8 @@ import pytest
 from quditswap import cli
 from quditswap.cli import main
 
+from probes import child_env
+
 SWAP_QC = "dim 3\nwires 2\nCXT 2 1\nCXT 1 2\nCXT 2 1\n"
 DECOMP_QC = "dim 4\nwires 2\nQFT 2\nCZ 1 2\nQFT 2\n"
 
@@ -239,6 +241,31 @@ def test_gone_reader_of_a_captured_stdout_exits_2(capsys):
     with contextlib.redirect_stdout(_GoneReader()):
         code = main(["verify", "--d-min", "2", "--d-max", "2"])
     assert (code, capsys.readouterr().err) == (2, _PIPE_GONE)
+
+
+# the child caps its own address space at its size after the import plus a
+# headroom, so the cap holds in that child alone
+_CAPPED_MAIN = """
+import resource, sys
+from quditswap.cli import main
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:")) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), resource.RLIM_INFINITY))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_memory_exhaustion_is_an_error_line_and_exit_2(tmp_path):
+    # 2^20 amplitudes take 16 MiB: the basis state fits the 24 MiB headroom,
+    # the kernel's work array of the same size does not
+    n = 20
+    qc = tmp_path / "qft.qc"
+    qc.write_text(f"dim 2\nwires {n}\nQFT 1\nCX 1 2\n", encoding="utf-8")
+    argv = ["simulate", "--circuit", str(qc), "--input", ",".join("0" * n)]
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, str(24 * 2**20), *argv],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
 
 
 def test_usage_error_exit_code():

@@ -113,6 +113,19 @@ def test_gate_holds_exactly_one_form():
         GateMatrix()
 
 
+@pytest.mark.parametrize("form,error,message", [
+    ({"phases": np.ones((2, 2))}, DimensionError, r"phases must be a vector, got \(2, 2\)"),
+    ({"matrix": np.ones((2, 3))}, DimensionError, r"gate matrix must be square, got \(2, 3\)"),
+    ({"matrix": np.ones(4)}, DimensionError, r"gate matrix must be square, got \(4,\)"),
+    ({"matrix": [[1, 0], [np.nan, 1]]}, ValueError, "non-finite matrix entry"),
+    ({"phases": [1, np.inf]}, ValueError, "non-finite matrix entry"),
+])
+def test_gate_form_is_shaped_and_finite(form, error, message):
+    with pytest.raises(error, match=message) as exc:
+        GateMatrix(**form)
+    assert type(exc.value) is error
+
+
 def test_x_d_dagger_inverts_perm():
     g = x_d(5)
     gd = g.dagger()

@@ -99,6 +99,17 @@ MALFORMED = [
     ("dim 3\nwires 2\nCXT 1 1\n", "duplicate wire", (3, 1, "CXT")),
     ("dim 3\nwires 2\nCXT 1 two\n", "expected integer", (3, 7, "two")),
     ("dim 3\nwires 2\nCZ 1 2 1\n", "2 wire", (3, 1, "CZ")),
+    # columns after irregular whitespace and repeated tokens
+    ("dim 3\nwires 2\nCXT\t1\t9\n", "out of range", (3, 7, "9")),
+    ("dim 3\nwires 2\nCXT   1    9\n", "out of range", (3, 12, "9")),
+    ("  dim 1\nwires 2\n", "dimension must be >= 2", (1, 7, "1")),
+    ("dim 3\n \t wires 2\nCX 1 2\n  \tBOGUS 1\n", "unknown gate", (4, 4, "BOGUS")),
+    ("dim\xa0x\nwires 2\n", "expected integer", (1, 5, "x")),
+    ("dim 3\nwires\u30000\n", "wire count", (2, 7, "0")),
+    ("dim 3\nwires 2\nCXT\x1c1 two\n", "expected integer", (3, 7, "two")),
+    ("dim dim\nwires 2\n", "expected integer", (1, 5, "dim")),
+    ("dim 3\nwires 2\nQFT QFT\n", "expected integer", (3, 5, "QFT")),
+    ("dim 3\nwires 2\nCXT 2\xa0\xa02 3\n", "out of range", (3, 10, "3")),
 ]
 
 

@@ -728,6 +728,18 @@ def test_load_state_errors_match_oracle(tmp_path, text):
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
+def test_line_reader_peaks_near_the_state(tmp_path):
+    # commas send the file to the line reader, which holds one float per number read
+    n = 16
+    amps = _random_amps(16, 2**n)
+    f = tmp_path / "state.txt"
+    f.write_text("".join(f"{a.real!r},{a.imag!r}\n" for a in amps.tolist()), encoding="utf-8")
+    state, peak = peak_bytes(lambda: cli._load_state(str(f), 2, n))
+    assert np.array_equal(state.amps, amps)
+    size = amps.nbytes
+    assert peak <= 7 * size, peak / size
+
+
 @pytest.mark.parametrize("text", ["", "# a comment\n\n  # another\n"])
 def test_simulate_state_without_data_is_usage_error(tmp_path, capsys, text):
     state, qc = tmp_path / "state.txt", tmp_path / "id.qc"
