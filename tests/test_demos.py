@@ -1,21 +1,18 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion and prints its golden text (see ``golden_set``)."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import json
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+import golden_set
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+@pytest.mark.parametrize("demo", golden_set.DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, timeout=120, env=env
-    )
+    proc = golden_set.run_demo(demo)
     assert proc.returncode == 0, proc.stderr
+    want = golden_set.demo_text(demo).read_text(encoding="utf-8")
+    where = golden_set.first_difference(proc.stdout, want)
+    if where is not None:
+        recorded = json.loads(golden_set.MANIFEST.read_text(encoding="utf-8"))["environment"]
+        pytest.fail(f"{demo.name} stdout, {where}; {golden_set.environment_note(recorded)}")
