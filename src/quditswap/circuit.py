@@ -185,7 +185,7 @@ def circuit_unitary(c: Circuit) -> GateMatrix:
     d, n = c.d, c.n
     if all(g.perm is not None for g in c.gates):
         # entry i of the run is the label that lands on i: the inverse table
-        return GateMatrix(perm=_run(c, np.arange(d**n))[:, 0]).dagger()
+        return GateMatrix(perm=np.argsort(_run(c, np.arange(d**n))[:, 0]))
     blocks, spare, base, parts, _ = _blocks(c)
     rows = spare.reshape(d**n, -1)
     np.copyto(rows.reshape(blocks.shape), blocks)  # the blocks in label order

@@ -63,8 +63,7 @@ def cmd_matrix(args) -> int:
     if kind is None:
         raise ValueError(f"unknown gate mnemonic {args.gate!r}")
     check_d_range(args.d, args.d)
-    g = gate_matrix(kind, args.d)
-    _write_matrix(g.matrix if g.matrix is not None else g, args.format)
+    _write_matrix(gate_matrix(kind, args.d), args.format)
     return 0
 
 
@@ -86,12 +85,11 @@ def _write(head: str, row: str, sep: str, tail: str, size: int, cols) -> None:
     sys.stdout.write(tail)
 
 
-def _write_matrix(m: np.ndarray | GateMatrix, fmt: str) -> None:
+def _write_matrix(g: GateMatrix, fmt: str) -> None:
     """Rows of (re, im) pairs: ``re,im`` joined by ``;`` per line, or a JSON list of lists."""
-    size, width = m.shape if isinstance(m, np.ndarray) else (m.dim, m.dim)
-    form = (("[", "[" + ", ".join(["[%r, %r]"] * width) + "]", ", ", "]\n") if fmt == "json"
-            else ("", ";".join(["%.17g,%.17g"] * width) + "\n", "", ""))
-    _write(*form, size, lambda s: (m[s] if isinstance(m, np.ndarray) else _dense_rows(m, s),))
+    form = (("[", "[" + ", ".join(["[%r, %r]"] * g.dim) + "]", ", ", "]\n") if fmt == "json"
+            else ("", ";".join(["%.17g,%.17g"] * g.dim) + "\n", "", ""))
+    _write(*form, g.dim, lambda s: (_dense_rows(g, s),))
 
 
 def _read_lines(lines) -> np.ndarray:
@@ -108,29 +106,21 @@ def _read_lines(lines) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def _parse_pairs(fh) -> np.ndarray | None:
-    """(re, im) float pairs, flat, from numpy's C parser; None where it declines.
-
-    The line reader decides every declined file: it reads ``1_0`` and
-    commas, and words the errors.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data"
-            pairs = np.loadtxt(fh, comments="#", ndmin=2)
-    except (ValueError, Warning):
-        return None
-    return pairs.ravel() if pairs.shape[1] == 2 else None
-
-
 def _load_state(path: str, d: int, n: int) -> StateVector:
+    """The state in a file of (re, im) pairs, one a line.  Where numpy's C parser raises, warns
+    or reads other than two columns, the line reader decides: ``1_0``, commas, the errors."""
     with open(path, encoding="utf-8") as fh:
-        pairs = _parse_pairs(fh)
-        if pairs is None:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data"
+                pairs = np.loadtxt(fh, comments="#", ndmin=2)
+            if pairs.shape[1] != 2:
+                raise ValueError("not two columns")
+        except (ValueError, Warning):
             fh.seek(0)
             pairs = _read_lines(fh)
     # (re, im) float pairs viewed as complex keep the sign of a zero part
-    return StateVector(d, n, pairs.view(np.complex128))
+    return StateVector(d, n, pairs.reshape(-1).view(np.complex128))
 
 
 def _read_circuit(path: str) -> Circuit:

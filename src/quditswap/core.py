@@ -120,7 +120,7 @@ class GateMatrix:
     @property
     def entries(self) -> np.ndarray:
         """Dense complex128 matrix; built on each read unless the gate is dense."""
-        return self.matrix if self.matrix is not None else _dense_rows(self, slice(None))
+        return _dense_rows(self, slice(None))
 
     def dagger(self) -> "GateMatrix":
         if self.perm is not None:
@@ -155,7 +155,9 @@ def _column_entries(g: GateMatrix) -> tuple[np.ndarray, np.ndarray | float] | No
 
 
 def _dense_rows(g: GateMatrix, s: slice) -> np.ndarray:
-    """Rows ``s`` of the dense matrix of a table or a phase gate, those rows alone."""
+    """Rows ``s`` of the gate's dense matrix; a table's or a phase gate's built for them alone."""
+    if g.matrix is not None:
+        return g.matrix[s]
     rows, values = _column_entries(g)
     return np.where(rows == np.arange(g.dim)[s, None], values, 0j)
 

@@ -119,8 +119,8 @@ def first_record_difference(text: str, got: dict, want: dict) -> str:
     i = next((i for i in range(0, min(len(a), len(b)), 8) if a[i:i + 8] != b[i:i + 8]),
              min(len(a), len(b))) // 8
     lines = text.splitlines(keepends=True)
-    return (f"line {i + 1}: got {lines[i] if i < len(lines) else '<end>'!r}, "
-            f"recorded {len(b) // 8} lines")
+    return (f"line {i + 1} differs: got {lines[i] if i < len(lines) else '<end>'!r} "
+            f"(the recorded output has {len(b) // 8} lines)")
 
 
 def environment() -> dict:
@@ -143,11 +143,13 @@ def environment_note(recorded: dict) -> str:
 
 def main() -> None:
     code, text = run(VERIFY_ARGV)
-    assert code == 0, code
+    if code != 0:
+        raise SystemExit(f"{' '.join(VERIFY_ARGV)} exited {code}")
     VERIFY_TEXT.write_text(text, encoding="utf-8")
     for demo in DEMOS:
         proc = run_demo(demo)
-        assert proc.returncode == 0, proc.stderr
+        if proc.returncode != 0:
+            raise SystemExit(f"{demo.name} exited {proc.returncode}:\n{proc.stderr}")
         demo_text(demo).write_text(proc.stdout, encoding="utf-8")
     outputs = {" ".join(argv): record(*run(argv)) for argv in manifest_argvs()}
     MANIFEST.write_text(json.dumps({"environment": environment(), "outputs": outputs},

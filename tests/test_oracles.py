@@ -37,6 +37,7 @@ from quditswap.core import (
     DimensionError,
     GateMatrix,
     StateVector,
+    _dense_rows,
     basis_state,
     max_entry_dist,
 )
@@ -488,6 +489,33 @@ def test_gate_forms_match_oracle(d):
         assert np.array_equal(g.dagger().entries, g.entries.conj().T)
 
 
+def _oracle_dense(kind, d):
+    """The dense matrix of a gate kind from the oracles, with the builders' bits."""
+    table = oracles.perm_table(kind, d)
+    if table is not None:
+        return oracles.permutation_matrix(table)
+    entries = oracles.root_power_entries(kind, d)
+    return np.diag(entries) if kind in (GateKind.CZd, GateKind.CZdDag) else entries
+
+
+# a kind, a d and a slice of its rows: empty slices and steps > 1 among them
+_gate_rows = st.tuples(st.sampled_from(KINDS), st.integers(2, 9)).flatmap(
+    lambda kd: st.tuples(st.just(kd[0]), st.just(kd[1]), st.slices(kd[1] ** kd[0].arity)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(_gate_rows)
+@example((GateKind.IQFT, 5, slice(None, None, 2)))
+@example((GateKind.CZdDag, 3, slice(7, 2)))
+def test_dense_rows_of_every_form_match_the_oracle_bit_for_bit(drawn):
+    kind, d, s = drawn
+    got, want = _dense_rows(gate_matrix(kind, d), s), _oracle_dense(kind, d)[s]
+    assert got.shape == want.shape
+    # compared as int64 words, so that a zero's sign counts
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
+
+
 @pytest.mark.parametrize("d", [*range(2, 65), 255, 256])
 def test_root_vector_builders_match_the_per_entry_formula_bit_for_bit(d):
     # compared as int64 words, so that a zero's sign counts
@@ -717,6 +745,9 @@ def test_simulate_io_matches_oracle_on_random_states(seed, shape, scale):
     ",\n1 0\n0 0\n",
     "1 0\nabc 0\n",
     "x 0\n1 2 3\n",  # the bad number comes first
+    # four numbers on one line, or one on each of four: the count fits d = 2, n = 1
+    pytest.param("1 0 0 0\n", id="four-columns"),
+    pytest.param("1\n0\n0\n0\n", id="one-column"),
 ])
 def test_load_state_errors_match_oracle(tmp_path, text):
     f = tmp_path / "state.txt"
@@ -975,18 +1006,18 @@ def test_simulate_output_of_no_amplitude_is_empty(tmp_path, capsys):
         assert capsys.readouterr().out == want
 
 
-_ROW = 1024  # entries in a row of a d = 32 two-qudit gate
-_MATRIX_STEP = cli._NUMBERS_PER_WRITE // (2 * _ROW)  # rows of 2 * _ROW numbers per batch
-
-
-@pytest.mark.parametrize("rows", [0, 1, _MATRIX_STEP - 1, _MATRIX_STEP, _MATRIX_STEP + 1])
-def test_matrix_output_is_batched_byte_for_byte(capsys, rows):
-    rng = np.random.default_rng(rows)
-    m = rng.standard_normal((rows, _ROW)) + 1j * rng.standard_normal((rows, _ROW))
+# A row of a dim-wide matrix holds 2 * dim numbers, so a batch holds 6144 // dim
+# rows: one row at dim 1; exactly one full batch at 78; at 155 a last batch one
+# row short, at 156 whole batches only, and at 157 one row past the last full batch
+@pytest.mark.parametrize("dim", [1, 78, 155, 156, 157])
+def test_matrix_output_is_batched_byte_for_byte(capsys, dim):
+    assert cli._NUMBERS_PER_WRITE == 2 * 6144  # the batch the edges above are set by
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m[:, ::3] = complex(-0.0, 0.0)
     m[:, 1::3] *= 1e-300
     for fmt in ("csv", "json"):
-        cli._write_matrix(m, fmt)
+        cli._write_matrix(GateMatrix(m), fmt)
         _same_text(capsys.readouterr().out, oracles.format_matrix(m, fmt))
 
 
