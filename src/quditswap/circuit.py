@@ -2,14 +2,15 @@
 
 Op order is temporal order (leftmost figure gate first); the circuit unitary
 is the product of the ops with the first op as the rightmost factor.  The
-kernel ``_steps``, which ``_run`` and ``_blocks`` call, alone applies gates
-to amplitudes and may overwrite its arrays; ``_follow`` moves labels through
-tables.  Wires are 1-based, wire 1 on top, as in the subscript convention:
-a gate written with control i and target j acts control-on-wire-i.
+kernel ``_run`` alone applies gates to amplitudes, in place on the one array
+it is given; ``_follow`` moves labels through tables.  Wires are 1-based,
+wire 1 on top, as in the subscript convention: a gate written with control i
+and target j acts control-on-wire-i.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,6 +18,9 @@ import numpy as np
 
 from .core import DimensionError, GateMatrix, StateVector, _check_budget, _check_dim
 from .gates import GateKind, gate_matrix, shared
+
+# entries per slab buffer, set by measurement: a box of an op's d^k rows and 16 or more columns
+_SLAB = 2**15
 
 
 @dataclass(frozen=True)
@@ -62,51 +66,69 @@ class Circuit:
 
 
 def _run(c: Circuit, t: np.ndarray, first: int = 0) -> np.ndarray:
-    """Apply the ops of ``c`` from op ``first`` on to the d^n rows of ``t``; returns (d^n, cols).
-
-    ``t`` is C-contiguous or permutes the axes of a C-contiguous array, which the
-    run may overwrite; ``_steps`` runs the ops, and one last copy orders the result.
-    """
-    t, work = _steps(c, t.reshape((c.d,) * c.n + (-1,)), None, first)
-    if not t.flags.c_contiguous:  # one last copy puts the axes back in order
-        np.copyto(work.reshape(t.shape), t)
-        t = work.reshape(t.shape)
-    return t.reshape(c.d**c.n, -1)
-
-
-def _steps(c: Circuit, t: np.ndarray, work: np.ndarray | None, first: int) -> tuple:
-    """The ops of ``c`` from op ``first`` on ``t``, (d,)*n + (cols,): (result, spare array).
-
-    The run may overwrite ``t`` and ``work``, a spare array of its size, and
-    the result keeps the axis order the last op left in memory.  Each op's
-    axes go first by ``transpose``: a phase gate scales in place; any other op
-    reads its wire axes as d^k rows from one array, copied there unless in
-    order already, and writes the other.
-    """
-    a = t.ravel("K")  # t's own array, in memory order
-    work = np.empty_like(a) if work is None else work
+    """Apply the ops of ``c`` from op ``first`` to ``t``, C-contiguous or (d,)*n + (cols,), in
+    place, each at its axes put first by ``transpose``; return ``t`` as (d,)*n + (cols,)."""
+    t = t.reshape((c.d,) * c.n + (-1,))
     for op, g in zip(c.ops[first:], c.gates[first:]):
-        k = len(op.wires)
         order = [w - 1 for w in op.wires]
         order += [i for i in range(t.ndim) if i not in order]  # the op's wire axes first
-        front = t.transpose(order)
-        if g.phases is not None:
-            # taken in memory order, the multiply buffers only the phases
-            mem = sorted(range(t.ndim), key=front.strides.__getitem__)[::-1]
-            ph = g.phases.reshape((c.d,) * k + (1,) * (t.ndim - k)).transpose(mem)
-            np.multiply(ph, front.transpose(mem), out=front.transpose(mem))
-            continue
-        if front.flags.c_contiguous:  # the rows are in order already: write to the other
-            a, work = work, a
-        else:
-            np.copyto(work.reshape(front.shape), front)
-        rows, out = work.reshape(c.d**k, -1), a.reshape(c.d**k, -1)
+        _apply(g, t.transpose(order), len(op.wires))
+    return t
+
+
+def _apply(g: GateMatrix, front: np.ndarray, k: int) -> None:
+    """Apply ``g`` to the k leading axes of ``front``, in place.
+
+    A phase gate scales them where they lie.  For a table or a dense matrix, the
+    d^k rows and W columns (the other axes, in order) go one box of ``_slabs`` at a
+    time: read where it lies if ``front`` is C-contiguous, else gathered into a slab
+    buffer, then through a second buffer and back.  OpenBLAS computes a column by its
+    8-wide panel, so a dense box keeps the bits of one ``G @ rows`` over all W: zero
+    columns put it at its places mod 8 and, unless it ends at W, fill its last panel.
+    """
+    if g.phases is not None:  # taken in memory order, the multiply buffers only the phases
+        mem = sorted(range(front.ndim), key=front.strides.__getitem__)[::-1]
+        ph = g.phases.reshape(front.shape[:k] + (1,) * (front.ndim - k)).transpose(mem)
+        np.multiply(ph, front.transpose(mem), out=front.transpose(mem))
+        return
+    rows = front.shape[0] ** k
+    cols = front.size // rows
+    cap = max(16, _SLAB // rows // 8 * 8)
+    flat = front.flags.c_contiguous  # then a box is a column range of a 2-D view
+    src, lead = (front.reshape(rows, cols), 1) if flat else (front, k)
+    size = (rows, min(cols, cap + 16))  # a padded box at most
+    ins, outs = None if flat else np.empty(size, front.dtype), np.empty(size, front.dtype)
+    for box, lo, w in _slabs(src.shape[lead:], cap):
+        part = src[(slice(None),) * lead + box]
+        pad = 0 if g.perm is not None else lo % 8
+        end = pad + w if g.perm is not None or lo + w == cols else -(-(pad + w) // 8) * 8
+        x, y = part, outs[:, :end]
+        if not flat:
+            x = ins[:, :end]
+            if end > w:
+                x[:, :pad] = x[:, pad + w:] = 0
+            np.copyto(x[:, pad:pad + w].reshape(part.shape), part)
         if g.perm is not None:
-            out[g.perm] = rows
+            y[g.perm] = x
         else:
-            np.matmul(g.matrix, rows, out=out)
-        t = out.reshape(front.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
-    return t, work
+            np.matmul(g.matrix, x, out=y)
+        np.copyto(part, y[:, pad:pad + w].reshape(part.shape))
+
+
+def _slabs(shape: tuple[int, ...], cap: int) -> list:
+    """The columns of ``shape``, in C order, as boxes (index, first column, width): a prefix of
+    the axes fixed, a range of the next, all the rest; ``cap`` + 7 columns at most, 8 unless all."""
+    j, tail = len(shape), 1
+    while j > 1 and tail * shape[j - 1] <= cap:  # axes j.. fit in one box
+        j -= 1
+        tail *= shape[j]
+    size = shape[j - 1]  # ranges of axis j - 1, cap // tail indices each, none under 8 columns
+    if size * tail <= cap:
+        return [((slice(None),), 0, size * tail)]
+    cuts = [a for a in range(0, size, cap // tail) if a == 0 or (size - a) * tail >= 8]
+    return [((*head, slice(a, b)), (i * size + a) * tail, (b - a) * tail)
+            for i, head in enumerate(itertools.product(*map(range, shape[: j - 1])))
+            for a, b in zip(cuts, cuts[1:] + [size])]
 
 
 def _follow(c: Circuit, digits: np.ndarray) -> np.ndarray:
@@ -144,15 +166,14 @@ def _label_map(d: int, n: int, free: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 
 def _blocks(c: Circuit) -> tuple[np.ndarray, ...]:
-    """(blocks, spare, base, parts, col): the ops run on the identity over the free wires.
+    """(blocks, base, parts, col): the ops run on the identity over the free wires.
 
     No op changes a kept wire's digit, so row r of the unitary is 0 off its
-    block, and ``blocks``, (d,)*n + (d^f,) with its axes in the run's memory
-    order, holds the rest: the entry at row r's digits and block column j is
-    the unitary's at column ``base[r] + parts[j]``.  ``base`` is each label's
-    kept part, ``parts`` the free parts of the block columns, in order, and
-    ``col`` each label's own block column.  The blocks and ``spare`` are the
-    two halves of one array, made on each call.
+    block, and ``blocks``, (d,)*n + (d^f,), one array made on each call with
+    the free wire axes first in memory, holds the rest: the entry at row r's
+    digits and block column j is the unitary's at column ``base[r] + parts[j]``.
+    ``base`` is each label's kept part, ``parts`` the free parts of the block
+    columns, in order, and ``col`` each label's own block column.
     """
     d, n = c.d, c.n
     free = sorted({w - 1 for op, g in zip(c.ops, c.gates)
@@ -161,34 +182,33 @@ def _blocks(c: Circuit) -> tuple[np.ndarray, ...]:
     # the label map comes first, so nothing a gate set keeps lies above the large
     # array in the heap, where freeing it would trim the heap and fault it back in
     k, labels = len(free), shared(_label_map, d, n, tuple(free))
-    half = np.empty((2, d ** (n + k)), dtype=np.complex128)
+    blocks = np.empty(d ** (n + k), dtype=np.complex128)
     # the identity once per kept part, free wire axes first; a dense op 0 on the
     # free wires alone is its own product with the identity, written in its place
     first = int(c.gates[0].matrix is not None and free == [w - 1 for w in c.ops[0].wires])
     g = c.gates[0].matrix if first else np.eye(d**k)
-    np.copyto(half[0].reshape((d,) * k + (-1,) + (d,) * k), g.reshape((d,) * k + (1,) + (d,) * k))
+    np.copyto(blocks.reshape((d,) * k + (-1,) + (d,) * k), g.reshape((d,) * k + (1,) + (d,) * k))
     order = free + [w for w in range(n + 1) if w not in free]  # the label axes in memory order
-    t = half[0].reshape((d,) * n + (-1,)).transpose(sorted(range(n + 1), key=order.__getitem__))
-    return (*_steps(c, t, half[1], first), *labels)
+    t = blocks.reshape((d,) * n + (-1,)).transpose(sorted(range(n + 1), key=order.__getitem__))
+    return (_run(c, t, first), *labels)
 
 
 def circuit_unitary(c: Circuit) -> GateMatrix:
     """Ordered product of embedded ops; first op is the rightmost factor.
 
-    A circuit of permutation gates gives an exact table, without a
-    d^n x d^n array, and one that changes no digit a phase vector.
-    Otherwise the unitary is block diagonal in every kept wire, and
-    ``_blocks``' map scatters each row's block into the result.  Its
-    d^n x d^n entries are checked against the budget first: d^n <= 4096.
+    A circuit of permutation gates gives an exact table, without a d^n x d^n
+    array, and one that changes no digit a phase vector.  Otherwise the unitary
+    is block diagonal in every kept wire, and ``_blocks``' map scatters each
+    row's block into the result, whose d^n x d^n entries are checked against
+    the budget first: d^n <= 4096.
     """
     _check_budget(c.d, 2 * c.n)
     d, n = c.d, c.n
     if all(g.perm is not None for g in c.gates):
         # entry i of the run is the label that lands on i: the inverse table
-        return GateMatrix(perm=np.argsort(_run(c, np.arange(d**n))[:, 0]))
-    blocks, spare, base, parts, _ = _blocks(c)
-    rows = spare.reshape(d**n, -1)
-    np.copyto(rows.reshape(blocks.shape), blocks)  # the blocks in label order
+        return GateMatrix(perm=np.argsort(_run(c, np.arange(d**n)).ravel()))
+    blocks, base, parts, _ = _blocks(c)
+    rows = blocks.reshape(d**n, -1)  # a copy in label order, smaller than the result
     if parts.size == 1:  # no free wire: each row's block is its diagonal entry
         return GateMatrix(phases=rows[:, 0])
     out = np.zeros((d**n, d**n), dtype=np.complex128)
@@ -199,23 +219,23 @@ def circuit_unitary(c: Circuit) -> GateMatrix:
 def table_dist(c: Circuit, table: GateMatrix) -> float:
     """``max_entry_dist(circuit_unitary(c), table)``, without a d^n x d^n array.
 
-    Blocks are read as |b| off the table's 1s and |b - 1| on them; a row whose
-    1 lies outside its block adds 1.0, as the unitary holds 0 there.  The
-    blocks are read in the run's own order, and the spare half of
-    ``_blocks``' array holds those distances.
+    Blocks are read as |b| off the table's 1s and |b - 1| on them, in memory
+    order and ``_SLAB`` entries at a time; a row whose 1 lies outside its block
+    adds 1.0, as the unitary holds 0 there.
     """
     d, n = c.d, c.n
     if table.perm is None or table.dim != d**n:
         raise DimensionError(f"expected a permutation table on {d**n} labels")
     if all(g.perm is not None for g in c.gates):
         _check_budget(d, n)  # two tables, exactly; the run holds d^n labels, no unitary
-        landed = _run(c, np.arange(d**n))[:, 0]  # entry i: the label that lands on i
+        landed = _run(c, np.arange(d**n)).ravel()  # entry i: the label that lands on i
         return 0.0 if np.array_equal(table.perm[landed], np.arange(d**n)) else 1.0
-    blocks, spare, base, _, col = _blocks(c)
+    blocks, base, _, col = _blocks(c)
     own = base[table.perm] == base  # the columns whose 1 lies in their own block
     blocks[(*np.unravel_index(table.perm[own], (d,) * n), col[own])] -= 1
-    dist = np.abs(blocks.ravel("K"), out=spare.view(np.float64)[:blocks.size])
-    return max(float(dist.max()), 0.0 if own.all() else 1.0)
+    flat = blocks.ravel("K")
+    dist = np.max([np.abs(flat[lo:lo + _SLAB]).max() for lo in range(0, flat.size, _SLAB)])
+    return max(float(dist), 0.0 if own.all() else 1.0)
 
 
 def simulate(c: Circuit, s: StateVector) -> StateVector:
@@ -224,8 +244,7 @@ def simulate(c: Circuit, s: StateVector) -> StateVector:
         raise DimensionError(f"state ({s.d}, {s.n}) does not match circuit ({c.d}, {c.n})")
     _check_budget(c.d, c.n)
     with np.errstate(over="ignore", invalid="ignore"):  # StateVector names a non-finite result
-        amps = _run(c, s.amps.copy())[:, 0]
-    return StateVector(c.d, c.n, amps)
+        return StateVector(c.d, c.n, _run(c, s.amps.copy()).ravel())
 
 
 # the ops of each circuit builder: an op holds no d, so one tuple serves every d

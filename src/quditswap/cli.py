@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .circuit import Circuit, _follow, _run
+from .circuit import _SLAB, Circuit, _follow, _run
 from .core import GateMatrix, StateVector, _check_budget, _check_digits, _dense_rows, basis_state
 from .dsl import MNEMONICS, ParseError, parse, render
 from .gates import gate_matrix
@@ -148,8 +148,9 @@ def cmd_simulate(args) -> int:
         state = _load_state(args.state, circ.d, circ.n)
     state.amps.setflags(write=True)  # made here, held by nothing else: run it, not a copy
     with np.errstate(over="ignore", invalid="ignore"):  # StateVector names a non-finite result
-        out = StateVector(circ.d, circ.n, _run(circ, state.amps)[:, 0]).amps
-    idx = np.flatnonzero(np.abs(out) >= AMP_EPSILON)
+        out = StateVector(circ.d, circ.n, _run(circ, state.amps).ravel()).amps
+    idx = np.concatenate([lo + np.flatnonzero(np.abs(out[lo:lo + _SLAB]) >= AMP_EPSILON)
+                          for lo in range(0, out.size, _SLAB)])  # no float array of size d^n
     # %r is the float repr that json.dumps writes
     form = (('{"amplitudes": [', '{"index": %d, "re": %r, "im": %r}', ", ", "]}\n") if args.json
             else ("", "%d %.17g %.17g\n", "", ""))

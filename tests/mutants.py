@@ -39,8 +39,8 @@ MUTANTS = [
     Mutant(
         "identity start writes only its nonzero entries",
         "src/quditswap/circuit.py",
-        "np.copyto(half[0].reshape((d,) * k + (-1,) + (d,) * k), g.reshape((d,) * k + (1,) + (d,) * k))",
-        "np.copyto(half[0].reshape((d,) * k + (-1,) + (d,) * k), g.reshape((d,) * k + (1,) + (d,) * k),"
+        "np.copyto(blocks.reshape((d,) * k + (-1,) + (d,) * k), g.reshape((d,) * k + (1,) + (d,) * k))",
+        "np.copyto(blocks.reshape((d,) * k + (-1,) + (d,) * k), g.reshape((d,) * k + (1,) + (d,) * k),"
         " where=g.reshape((d,) * k + (1,) + (d,) * k) != 0)",
         ("tests/test_oracles.py::test_blocks_start_from_memory_that_holds_junk",),
     ),
@@ -49,7 +49,7 @@ MUTANTS = [
         "src/quditswap/circuit.py",
         "np.multiply(ph, front.transpose(mem), out=front.transpose(mem))",
         "np.multiply(front.transpose(mem), ph, out=front.transpose(mem))",
-        ("tests/test_oracles.py::test_run_matches_the_moveaxis_kernel_bit_for_bit",
+        ("tests/test_oracles.py::test_run_matches_the_pingpong_kernel_bit_for_bit",
          "tests/test_circuit.py::test_circuit_unitary_order",
          "tests/test_golden.py::test_verify_json_keeps_its_golden_text"),
     ),
@@ -85,9 +85,9 @@ MUTANTS = [
         "label map made after the large array",
         "src/quditswap/circuit.py",
         "    k, labels = len(free), shared(_label_map, d, n, tuple(free))\n"
-        "    half = np.empty((2, d ** (n + k)), dtype=np.complex128)\n",
+        "    blocks = np.empty(d ** (n + k), dtype=np.complex128)\n",
         "    k = len(free)\n"
-        "    half = np.empty((2, d ** (n + k)), dtype=np.complex128)\n"
+        "    blocks = np.empty(d ** (n + k), dtype=np.complex128)\n"
         "    labels = shared(_label_map, d, n, tuple(free))\n",
         ("tests/test_verify.py::test_verify_all_faults_in_no_pages_while_the_caller_holds_arrays",),
     ),
@@ -116,6 +116,59 @@ MUTANTS = [
         "",
         ("tests/test_oracles.py::test_load_state_errors_match_oracle[four-columns]",
          "tests/test_oracles.py::test_load_state_errors_match_oracle[one-column]"),
+    ),
+    Mutant(
+        "dense slab without its left pad",
+        "src/quditswap/circuit.py",
+        "        pad = 0 if g.perm is not None else lo % 8\n",
+        "        pad = 0\n",
+        ("tests/test_oracles.py::test_dense_slab_step_keeps_the_bits_of_the_whole_call",),
+    ),
+    Mutant(
+        "interior dense slab not right-padded",
+        "src/quditswap/circuit.py",
+        "        end = pad + w if g.perm is not None or lo + w == cols else -(-(pad + w) // 8) * 8\n",
+        "        end = pad + w\n",
+        ("tests/test_oracles.py::test_dense_slab_step_keeps_the_bits_of_the_whole_call",),
+    ),
+    Mutant(
+        "slab cut inside the last partial panel",
+        "src/quditswap/circuit.py",
+        "cuts = [a for a in range(0, size, cap // tail) if a == 0 or (size - a) * tail >= 8]",
+        "cuts = list(range(0, size, cap // tail))",
+        ("tests/test_oracles.py::test_dense_slab_step_keeps_the_bits_of_the_whole_call",),
+    ),
+    Mutant(
+        "op 0 written on the next wire",
+        "src/quditswap/circuit.py",
+        "np.copyto(blocks.reshape((d,) * k + (-1,) + (d,) * k), g.reshape((d,) * k + (1,) + (d,) * k))",
+        "np.copyto(blocks.reshape((-1,) + (d,) * k + (d,) * k), g.reshape((1,) + (d,) * k + (d,) * k))",
+        ("tests/test_oracles.py::test_op0_write_matches_the_identity_start",
+         "tests/test_golden.py::test_verify_json_keeps_its_golden_text"),
+    ),
+    Mutant(
+        "op 0 dropped: the identity written, op 0 skipped",
+        "src/quditswap/circuit.py",
+        "    g = c.gates[0].matrix if first else np.eye(d**k)\n",
+        "    g = np.eye(d**k)\n",
+        ("tests/test_oracles.py::test_op0_write_matches_the_identity_start",
+         "tests/test_golden.py::test_verify_json_keeps_its_golden_text"),
+    ),
+    Mutant(
+        "no gate set at all",
+        "src/quditswap/verify.py",
+        "        token = GATE_SET.set({})",
+        "        token = GATE_SET.set(None)",
+        ("tests/test_circuit.py::test_verify_all_builds_each_gate_kind_once_per_circuit",
+         "tests/test_circuit.py::test_verify_all_takes_each_table_distance_once_per_d"),
+    ),
+    Mutant(
+        "simulate output cut on the whole register",
+        "src/quditswap/cli.py",
+        "    idx = np.concatenate([lo + np.flatnonzero(np.abs(out[lo:lo + _SLAB]) >= AMP_EPSILON)\n"
+        "                          for lo in range(0, out.size, _SLAB)])  # no float array of size d^n\n",
+        "    idx = np.flatnonzero(np.abs(out) >= AMP_EPSILON)\n",
+        ("tests/test_oracles.py::test_simulate_label_run_holds_its_state_and_slab_buffers",),
     ),
 ]
 

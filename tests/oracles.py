@@ -5,8 +5,10 @@ straight from the paper's formulas, so it shares no code with the index
 tables, phase vectors and wire-axis kernel of the package.  Sizes stay small.
 The sampled checks are the exception: they run random states through the
 package's gates and kernel, as the identity suite did before it proved the
-permutation claims on basis labels.  So does the identity start of the
-blocks, which runs every op of a circuit through the kernel, op 0 included.
+permutation claims on basis labels.  The ping-pong kernel, the package's
+kernel before it ran in place, is kept as the reference of the in-place one;
+the identity start of the blocks runs every op of a circuit through it, op 0
+included.
 """
 
 import json
@@ -179,7 +181,7 @@ def sampled_partial_swap(d: int, seed: int = 42, trials: int = 20) -> float:
     phis = random_states(np.random.default_rng(seed), d, trials)
     amps = np.zeros((d * d, trials), dtype=np.complex128)
     amps[::d] = phis
-    out = _run(partial_swap_circuit(d), amps)
+    out = _run(partial_swap_circuit(d), amps).reshape(d * d, -1)
     out[:d] -= phis  # expected: phi on the rows |0>|y>, zero elsewhere
     return float(np.abs(out).max())
 
@@ -188,59 +190,63 @@ def sampled_random_states(d: int, seed: int = 42, trials: int = 20) -> float:
     """Worst deviation of SWAP from transposing the amplitudes of random states."""
     states = random_states(np.random.default_rng(seed), d * d, trials)
     transposed = states.reshape(d, d, trials).swapaxes(0, 1).reshape(d * d, trials)
-    out = _run(swap_circuit(d), states.copy())
+    out = _run(swap_circuit(d), states.copy()).reshape(d * d, -1)
     return float(np.abs(out - transposed).max())
 
 
-def identity_start_blocks(c):
-    """``circuit._blocks`` without the op-0 write or the two-half array.
-
-    The identity over the free wires is written at each label's own block
-    column of a fresh array of zeros, and ``_run`` applies every op to it.
-    The label map is ``_blocks``' own, and the spare half is a fresh array.
-    """
-    _, _, base, parts, col = _blocks(c)
-    blocks = np.zeros((col.size, col.max() + 1), dtype=np.complex128)
-    blocks[np.arange(col.size), col] = 1.0
-    blocks = _run(c, blocks).reshape((c.d,) * c.n + (-1,))
-    return blocks, np.empty(blocks.size, dtype=np.complex128), base, parts, col
-
-
-def moveaxis_run(c, t: np.ndarray, first: int = 0) -> np.ndarray:
-    """The wire-axis kernel written with ``np.moveaxis`` and ``np.argsort``, ``_run``'s reference.
+def pingpong_run(c, t: np.ndarray, first: int = 0) -> np.ndarray:
+    """The ping-pong kernel that ``circuit._run`` was, its slow reference: ``t`` in place,
+    returned as (d,)*n + (cols,).
 
     It applies the same ops to the same operand layouts, from the same built
-    gates, so ``_run`` must match it bit for bit.  Each op's axes are moved to
-    the front by ``np.moveaxis``, the phases are taken in the memory order that
-    ``np.argsort`` of the strides gives, and the result is copied into label
-    order at the end.
+    gates, and writes no op back where it read it: each op's axes go first by
+    ``transpose``, a phase gate scales in place, and any other op reads its
+    wire axes as d^k rows from one of two arrays the size of ``t``, copied
+    there unless in order already, and writes its result, one ``G @ rows``
+    over every column, into the other.  So the axis order changes from op to
+    op, and one last copy puts the result back into ``t``.  ``_run`` must
+    match it bit for bit.
     """
-    t = t.reshape((c.d,) * c.n + (-1,))
-    a = t.ravel("K")
+    t = out = t.reshape((c.d,) * c.n + (-1,))
+    a = t.ravel("K")  # t's own array, in memory order
     work = np.empty_like(a)
     for op, g in zip(c.ops[first:], c.gates[first:]):
         k = len(op.wires)
-        axes = [w - 1 for w in op.wires]
-        front = np.moveaxis(t, axes, range(k))
+        order = [w - 1 for w in op.wires]
+        order += [i for i in range(t.ndim) if i not in order]  # the op's wire axes first
+        front = t.transpose(order)
         if g.phases is not None:
-            order = np.argsort(front.strides)[::-1]
-            ph = g.phases.reshape((c.d,) * k + (1,) * (t.ndim - k)).transpose(order)
-            np.multiply(ph, front.transpose(order), out=front.transpose(order))
+            # taken in memory order, the multiply buffers only the phases
+            mem = sorted(range(t.ndim), key=front.strides.__getitem__)[::-1]
+            ph = g.phases.reshape((c.d,) * k + (1,) * (t.ndim - k)).transpose(mem)
+            np.multiply(ph, front.transpose(mem), out=front.transpose(mem))
             continue
-        if front.flags.c_contiguous:
+        if front.flags.c_contiguous:  # the rows are in order already: write to the other
             a, work = work, a
         else:
             np.copyto(work.reshape(front.shape), front)
-        rows, out = work.reshape(c.d**k, -1), a.reshape(c.d**k, -1)
+        rows, res = work.reshape(c.d**k, -1), a.reshape(c.d**k, -1)
         if g.perm is not None:
-            out[g.perm] = rows
+            res[g.perm] = rows
         else:
-            np.matmul(g.matrix, rows, out=out)
-        t = np.moveaxis(out.reshape(front.shape), range(k), axes)
-    if not t.flags.c_contiguous:
-        np.copyto(work.reshape(t.shape), t)
-        t = work.reshape(t.shape)
-    return t.reshape(c.d**c.n, -1)
+            np.matmul(g.matrix, rows, out=res)
+        t = res.reshape(front.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
+    np.copyto(out, t)
+    return out
+
+
+def identity_start_blocks(c):
+    """``circuit._blocks`` without the op-0 write, in label order.
+
+    The identity over the free wires is written at each label's own block
+    column of a fresh array of zeros, and the ping-pong kernel applies every
+    op to it.  The label map is ``_blocks``' own.
+    """
+    _, base, parts, col = _blocks(c)
+    blocks = np.zeros((col.size, col.max() + 1), dtype=np.complex128)
+    blocks[np.arange(col.size), col] = 1.0
+    blocks = pingpong_run(c, blocks).reshape((c.d,) * c.n + (-1,))
+    return blocks, base, parts, col
 
 
 def delta_sum_max_dev(d: int) -> float:

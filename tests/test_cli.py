@@ -244,10 +244,13 @@ def test_gone_reader_of_a_captured_stdout_exits_2(capsys):
 
 
 # the child caps its own address space at its size after the import plus a
-# headroom, so the cap holds in that child alone
+# headroom, so the cap holds in that child alone; one small product first maps
+# OpenBLAS's buffer (32 MiB of address space), so the headroom is the arrays'
 _CAPPED_MAIN = """
 import resource, sys
+import numpy as np
 from quditswap.cli import main
+np.ones((2, 2), complex) @ np.ones((2, 8), complex)
 with open("/proc/self/status") as fh:
     size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:")) * 1024
 resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), resource.RLIM_INFINITY))
@@ -255,17 +258,29 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
-def test_memory_exhaustion_is_an_error_line_and_exit_2(tmp_path):
-    # 2^20 amplitudes take 16 MiB: the basis state fits the 24 MiB headroom,
-    # the kernel's work array of the same size does not
-    n = 20
+def _capped_simulate(tmp_path, n):
+    """A fresh ``simulate`` of QFT 1; CX 1 2 on 2^n amplitudes from |0...0>, its address space
+    capped at its size after the import plus 24 MiB."""
     qc = tmp_path / "qft.qc"
     qc.write_text(f"dim 2\nwires {n}\nQFT 1\nCX 1 2\n", encoding="utf-8")
     argv = ["simulate", "--circuit", str(qc), "--input", ",".join("0" * n)]
-    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, str(24 * 2**20), *argv],
+    return subprocess.run([sys.executable, "-c", _CAPPED_MAIN, str(24 * 2**20), *argv],
                           env=child_env(), capture_output=True, text=True, timeout=60)
+
+
+def test_memory_exhaustion_is_an_error_line_and_exit_2(tmp_path):
+    # 2^21 amplitudes take 32 MiB: the basis state itself does not fit the headroom
+    proc = _capped_simulate(tmp_path, 21)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
+
+
+def test_a_dense_run_fits_its_one_register_array_and_slab_buffers(tmp_path):
+    # 2^20 amplitudes take 16 MiB: the state and the kernel's slab buffers fit
+    # the 24 MiB headroom, where a second array of the register's size would not
+    proc = _capped_simulate(tmp_path, 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0 0.70710678118654746 0\n786432 0.70710678118654746 0\n"
 
 
 def test_usage_error_exit_code():

@@ -16,10 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from probes import peak_bytes, rss_over_import
-from quditswap import cli, gates
+from quditswap import circuit, cli, gates
 from quditswap.circuit import (
+    _SLAB,
     Circuit,
     GateOp,
+    _apply,
     _blocks,
     _run,
     asymmetric_swap_circuit,
@@ -103,7 +105,7 @@ def test_run_in_place_matches_oracle_product(c, cols, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((c.d**c.n, cols)) + 1j * rng.standard_normal((c.d**c.n, cols))
     want = oracles.unitary(c) @ x
-    got = _run(c, x.copy())
+    got = _run(c, x.copy()).reshape(want.shape)
     assert got.shape == want.shape
     if all(oracles.perm_table(op.kind, c.d) is not None for op in c.ops):
         assert np.array_equal(got, want)
@@ -133,18 +135,117 @@ def kernel_cases(draw):
 @example((Circuit(3, 3, (GateOp(GateKind.CZd, (3, 1)), GateOp(GateKind.QFT, (2,)),
                          GateOp(GateKind.CXd, (2, 3)), GateOp(GateKind.CZdDag, (1, 2)))),
           0, np.arange(54.0).reshape(2, 3, 3, 3) * (0.5 + 1j), [1, 2, 3, 0]))
-def test_run_matches_the_moveaxis_kernel_bit_for_bit(case):
+def test_run_matches_the_pingpong_kernel_bit_for_bit(case):
     c, first, x, back = case
     got = _run(c, x.copy().transpose(back), first=first)
-    want = oracles.moveaxis_run(c, x.copy().transpose(back), first)
+    want = oracles.pingpong_run(c, x.copy().transpose(back), first)
     assert got.shape == want.shape
-    # compared as int64 words, so that a zero's sign counts
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """An array's words in label order: int64 for complex, so that a zero's sign counts."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.int64) if a.dtype == np.complex128 else a
+
+
+@st.composite
+def slab_runs(draw):
+    """A circuit of the ten kinds at d 2..7, a slab size, and an input on d^n amplitudes,
+    half of them within a slab and half over it, up to 8 slabs: a basis label, random
+    amplitudes, or the label table a circuit of tables runs on."""
+    slab = draw(st.sampled_from([2**8, 2**11, _SLAB]))
+    d = draw(st.integers(2, 7))
+    over = next(k for k in range(1, 30) if d**k > slab)  # the fewest wires over a slab
+    most = next(k for k in range(over, 30) if d ** (k + 1) > 8 * slab)
+    n = draw(st.integers(over, most) if draw(st.booleans()) else st.integers(1, over - 1))
+    c = draw(circuits_on(d, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    how = draw(st.sampled_from(["label", "amplitudes", "table"]))
+    if how == "table" and all(g.perm is not None for g in c.gates):
+        x = np.arange(d**n)
+    elif how == "amplitudes":
+        x = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+    else:
+        x = basis_state(tuple(rng.integers(0, d, n)), d).amps.copy()
+    return c, slab, x
+
+
+@settings(deadline=None, max_examples=80)
+@given(slab_runs())
+@example((Circuit(3, 7, (GateOp(GateKind.QFT, (5,)), GateOp(GateKind.CZd, (2, 5)),
+                         GateOp(GateKind.CXTilde, (6, 1)), GateOp(GateKind.IQFT, (1,)))),
+          2**8, np.arange(3.0**7) * (1 - 0.5j)))
+def test_in_place_kernel_matches_the_pingpong_kernel_bit_for_bit(case):
+    c, slab, x = case
+    with mock.patch.object(circuit, "_SLAB", slab):
+        got = _run(c, x.copy())
+    assert np.array_equal(_bits(got), _bits(oracles.pingpong_run(c, x.copy())))
+
+
+@st.composite
+def kept_wire_circuits(draw):
+    """A circuit at d 2..64 that changes one wire's digit at most, on n wires with
+    d^(n+1) <= 2^18: dense, phase and table ops alike."""
+    d = draw(st.integers(2, 64))
+    n = draw(st.integers(2, next(k for k in (4, 3, 2) if d ** (k + 1) <= 2**18)))
+    w = draw(st.integers(1, n))
+    others = [v for v in range(1, n + 1) if v != w]
+    ops = []
+    # not SWAP, which changes two digits
+    for kind in draw(st.lists(st.sampled_from([k for k in KINDS if k is not GateKind.SWAP]),
+                              min_size=1, max_size=6)):
+        if kind.arity == 1:
+            ops.append(GateOp(kind, (w,)))
+        elif kind in (GateKind.CZd, GateKind.CZdDag, GateKind.Identity):
+            ops.append(GateOp(kind, tuple(draw(st.permutations(range(1, n + 1)))[:2])))
+        else:  # a controlled adder changes its target's digit alone
+            ops.append(GateOp(kind, (draw(st.sampled_from(others)), w)))
+    return Circuit(d, n, tuple(ops))
+
+
+@settings(deadline=None, max_examples=40)
+@given(kept_wire_circuits())
+@example(cx_tilde_decomposition(64))
+@example(cx_tilde_decomposition_alt(61))
+def test_blocks_of_the_in_place_kernel_match_the_pingpong_kernel(c):
+    with mock.patch.object(circuit, "_run", oracles.pingpong_run):
+        want = _blocks(c)[0]
+    assert np.array_equal(_bits(_blocks(c)[0]), _bits(want))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(2, 64), st.integers(1, 4096), st.integers(0, 2**32 - 1))
+@example(rows=5, cols=4096, seed=0)
+@example(rows=7, cols=4095, seed=0)
+@example(rows=9, cols=4094, seed=0)
+@example(rows=11, cols=4093, seed=0)
+@example(rows=13, cols=4092, seed=0)
+@example(rows=16, cols=4091, seed=0)
+@example(rows=31, cols=4090, seed=0)
+@example(rows=64, cols=4089, seed=0)
+@example(rows=3, cols=1, seed=0)
+@example(rows=57, cols=785, seed=0)
+def test_dense_slab_step_keeps_the_bits_of_the_whole_call(rows, cols, seed):
+    # OpenBLAS computes a column by its 8-wide panel; this also fails if an
+    # update of numpy or OpenBLAS changes that rule
+    rng = np.random.default_rng(seed)
+    g = GateMatrix(rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows)))
+    x = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    want = g.matrix @ x
+    inner = int(rng.choice([c for c in range(1, cols + 1) if cols % c == 0]))
+    for slab in (2**10, 2**12, _SLAB):
+        # the rows first in memory (boxes read in place), or gathered from between the columns
+        for front in (x.reshape(rows, -1, inner).copy(),
+                      x.reshape(rows, -1, inner).transpose(1, 0, 2).copy().transpose(1, 0, 2)):
+            with mock.patch.object(circuit, "_SLAB", slab):
+                _apply(g, front, 1)
+            assert np.array_equal(_bits(front.reshape(rows, cols)), _bits(want)), (slab, inner)
 
 
 def test_run_of_an_empty_circuit_returns_the_input_values():
     x = np.arange(12, dtype=np.complex128).reshape(12, 1) * (1 - 2j)
-    assert np.array_equal(_run(Circuit(2, 2), x.reshape(4, 3).copy()), x.reshape(4, 3))
+    assert np.array_equal(_run(Circuit(2, 2), x.reshape(4, 3).copy()).reshape(4, 3), x.reshape(4, 3))
     assert np.array_equal(_run(Circuit(12, 1), x.copy()), x)
 
 
@@ -350,24 +451,27 @@ def test_verify_decomposition_allocates_less_than_a_quarter_of_the_unitary():
     assert peak < d**4 * 16 / 4
 
 
-def test_verify_decomposition_allocates_one_work_array():
-    # one circuit at a time: its blocks and the run's work array, the two
-    # halves of one array, the phase multiply's buffer, and small arrays
-    d = 32
+def test_verify_decomposition_allocates_its_blocks_and_two_slabs():
+    # one circuit at a time: its blocks, one slab buffer (the dense op after op 0
+    # reads its rows where they lie), the phase multiply's buffer, the compare's
+    # chunk of distances and small arrays; at d = 64 the blocks hold 8 slabs
+    d = 64
     verify_identity("decomposition", d)
     _, peak = peak_bytes(lambda: verify_identity("decomposition", d))
-    assert peak <= 2.5 * d**3 * 16
+    assert peak <= d**3 * 16 + 2 * _SLAB * 16
 
 
-def test_simulate_allocates_one_copy_and_one_work_array():
-    d, n = 2, 16
+def test_simulate_allocates_one_copy_and_slab_buffers():
+    # the copy of the state, two slab buffers of a gathering op (d^2 rows of
+    # at most _SLAB / d^2 + 16 columns each) and the phase multiply's buffer
+    d, n = 2, 18
     rng = np.random.default_rng(3)
     wires = [rng.permutation(range(1, n + 1))[: kind.arity] for kind in KINDS * 2]
     c = Circuit(d, n, tuple(GateOp(kind, tuple(w)) for kind, w in zip(KINDS * 2, wires)))
     s = StateVector(d, n, _random_amps(3, d**n))
     simulate(c, s)  # builds the gates
     _, peak = peak_bytes(lambda: simulate(c, s))
-    assert peak <= 2.25 * s.amps.nbytes
+    assert peak <= s.amps.nbytes + 2.5 * _SLAB * 16
 
 
 def test_unitary_and_compare_allocate_little_beyond_the_output():
@@ -423,7 +527,7 @@ def dense_first_circuits(draw):
 @example(Circuit(3, 3, _ops(3, (GateKind.IQFT, (2,)), (GateKind.CZd, (3, 2)))), 0)
 @example(Circuit(2, 4, _ops(2, (GateKind.QFT, (3,)), (GateKind.CXd, (1, 4)))), 1)
 def test_op0_write_matches_the_identity_start(c, seed):
-    blocks, _, base, parts, col = _blocks(c)
+    blocks, base, parts, col = _blocks(c)
     assert np.array_equal(blocks, oracles.identity_start_blocks(c)[0])
     rng = np.random.default_rng(seed)
     # a table that keeps every label in its block, or any table
@@ -1077,9 +1181,21 @@ def test_simulate_state_runs_the_loaded_array_without_a_copy(tmp_path):
     tiny_qc.write_text("dim 2\nwires 1\nQFT 1\n", encoding="utf-8")
     _cli_peak(["simulate", "--circuit", str(tiny_qc), "--state", str(tiny_state)])
     argv = ["simulate", "--circuit", str(qc), "--state", str(state)]
-    # the loaded state, one work array, |amplitude| floats and the printed
-    # indices: 3.35x the state; one more copy of the state would reach 4.3x
-    assert _cli_peak(argv) <= 3.5 * 2**n * 16
+    # the loaded state, a slab buffer, the printed indices and a batch of rows:
+    # 2.35x the state; one more array of the state's size would reach 3.35x
+    assert _cli_peak(argv) <= 2.5 * 2**n * 16
+
+
+def test_simulate_label_run_holds_its_state_and_slab_buffers(tmp_path):
+    n = 18
+    qc = tmp_path / "dense.qc"
+    qc.write_text(f"dim 2\nwires {n}\nQFT 1\nCX 1 2\nQFT {n}\n", encoding="utf-8")
+    argv = ["simulate", "--circuit", str(qc), "--input", ",".join("0" * n)]
+    _cli_peak(argv)  # lazy set-up is not counted
+    # the basis state, two slab buffers (QFT on the last wire gathers) and the
+    # output's cut a slab at a time: 1.25x the state; a cut that takes |amplitude|
+    # of the whole register reaches 1.56x, a second array of the state's size 2.25x
+    assert _cli_peak(argv) <= 1.4 * 2**n * 16
 
 
 @pytest.mark.parametrize("gate", ["CX", "CZ"])
