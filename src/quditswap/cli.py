@@ -20,8 +20,9 @@ import warnings
 
 import numpy as np
 
-from .circuit import _SLAB, Circuit, _follow, _run
-from .core import GateMatrix, StateVector, _check_budget, _check_digits, _dense_rows, basis_state
+from .circuit import Circuit, _follow, _run
+from .core import (_SLAB, GateMatrix, StateVector, _check_budget, _check_digits, _dense_rows,
+                   basis_state)
 from .dsl import MNEMONICS, ParseError, parse, render
 from .gates import gate_matrix
 from .verify import check_d_range, verify_all
@@ -67,21 +68,22 @@ def cmd_matrix(args) -> int:
     return 0
 
 
-def _write(head: str, row: str, sep: str, tail: str, size: int, cols) -> None:
-    """Write ``head``, ``row % numbers`` for each of ``size`` rows joined by ``sep``, then ``tail``.
+def _write(head: str, row: str, sep: str, tail: str, batches) -> None:
+    """Write ``head``, ``row % numbers`` for each row joined by ``sep``, then ``tail``.
 
-    ``cols(s)`` gives the cols of the rows in slice ``s``; a row's numbers are its entries of
-    them in turn, re then im if complex, made Python objects ``_NUMBERS_PER_WRITE`` at a time.
+    ``batches(step)`` yields the cols of the rows, ``step`` rows or fewer at a time; a row's
+    numbers are its entries of them in turn, re then im if complex, made Python objects
+    ``_NUMBERS_PER_WRITE`` at a time at most.
     """
-    step = max(1, _NUMBERS_PER_WRITE // row.count("%"))  # a row holds one number per %
     sys.stdout.write(head)
-    for lo in range(0, size, step):
-        parts = [p for c in cols(slice(lo, lo + step))
-                 for p in ((c.real, c.imag) if np.iscomplexobj(c) else (c,))]
+    first = True
+    for cols in batches(max(1, _NUMBERS_PER_WRITE // row.count("%"))):  # one number per %
+        parts = [p for c in cols for p in ((c.real, c.imag) if np.iscomplexobj(c) else (c,))]
         flat = [None] * (len(parts) * parts[0].size)
         for k, part in enumerate(parts):
             flat[k::len(parts)] = part.reshape(-1).tolist()  # a strided 1-D col stays a view
-        sys.stdout.write(sep * (lo > 0) + sep.join([row] * len(parts[0])) % tuple(flat))
+        sys.stdout.write(sep * (not first) + sep.join([row] * len(parts[0])) % tuple(flat))
+        first = False
     sys.stdout.write(tail)
 
 
@@ -89,7 +91,8 @@ def _write_matrix(g: GateMatrix, fmt: str) -> None:
     """Rows of (re, im) pairs: ``re,im`` joined by ``;`` per line, or a JSON list of lists."""
     form = (("[", "[" + ", ".join(["[%r, %r]"] * g.dim) + "]", ", ", "]\n") if fmt == "json"
             else ("", ";".join(["%.17g,%.17g"] * g.dim) + "\n", "", ""))
-    _write(*form, g.dim, lambda s: (_dense_rows(g, s),))
+    _write(*form, lambda step: ((_dense_rows(g, slice(lo, lo + step)),)
+                                for lo in range(0, g.dim, step)))
 
 
 def _read_lines(lines) -> np.ndarray:
@@ -143,18 +146,25 @@ def cmd_simulate(args) -> int:
             label = _follow(circ, np.array(digits)[:, None])[:, 0].tolist()
             print(json.dumps({"label": label}) if args.json else ",".join(map(str, label)))
             return 0
-        state = basis_state(digits, circ.d)
-    else:
-        state = _load_state(args.state, circ.d, circ.n)
+    if any(g.matrix is not None for g in circ.gates):
+        # OpenBLAS maps its 32 MiB buffer at its first product, and ends the process when it
+        # cannot: mapped before the register, a register that does not fit is a MemoryError
+        np.ones((2, 2), complex) @ np.ones((2, 8), complex)
+    state = basis_state(digits, circ.d) if args.input is not None else _load_state(
+        args.state, circ.d, circ.n)
     state.amps.setflags(write=True)  # made here, held by nothing else: run it, not a copy
     with np.errstate(over="ignore", invalid="ignore"):  # StateVector names a non-finite result
         out = StateVector(circ.d, circ.n, _run(circ, state.amps).ravel()).amps
-    idx = np.concatenate([lo + np.flatnonzero(np.abs(out[lo:lo + _SLAB]) >= AMP_EPSILON)
-                          for lo in range(0, out.size, _SLAB)])  # no float array of size d^n
+
+    def batches(step):  # the amplitudes over the cut, a slab at a time: no array of size d^n
+        for lo in range(0, out.size, _SLAB):
+            idx = lo + np.flatnonzero(np.abs(out[lo:lo + _SLAB]) >= AMP_EPSILON)
+            for i in range(0, idx.size, step):
+                yield idx[i:i + step], out[idx[i:i + step]]
     # %r is the float repr that json.dumps writes
     form = (('{"amplitudes": [', '{"index": %d, "re": %r, "im": %r}', ", ", "]}\n") if args.json
             else ("", "%d %.17g %.17g\n", "", ""))
-    _write(*form, idx.size, lambda s: (idx[s], out[idx[s]]))
+    _write(*form, batches)
     return 0
 
 

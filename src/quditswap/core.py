@@ -20,6 +20,8 @@ import numpy as np
 
 # no array the package builds holds more entries: a 4096 x 4096 unitary
 MAX_ENTRIES = 4096**2
+# entries per slab, set by measurement: a register is checked, cut and run this many at a time
+_SLAB = 2**15
 
 
 class DimensionError(ValueError):
@@ -59,9 +61,10 @@ class StateVector:
             raise DimensionError(
                 f"expected {self.d ** self.n} amplitudes, got {amps.shape}"
             )
-        finite = np.isfinite(amps)
-        if not finite.all():
-            raise ValueError(f"non-finite amplitude at index {np.flatnonzero(~finite)[0]}")
+        for lo in range(0, amps.size, _SLAB):  # one bool per amplitude of a slab at most
+            finite = np.isfinite(amps[lo:lo + _SLAB])
+            if not finite.all():
+                raise ValueError(f"non-finite amplitude at index {lo + np.flatnonzero(~finite)[0]}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import DimensionError
 from .circuit import (
+    _BOX,
     Circuit,
     GateOp,
     _follow,
@@ -68,13 +69,18 @@ def _delta_sum_dev(d: int) -> float:
 
     The sum depends on x, y, l only through the unreduced m = x+y+l in
     0..3d-3, so it is evaluated once per m, adding the k terms in order.
+    The m go ``_BOX // 4`` terms at a time, so that a chunk's arrays, about 48
+    bytes a term, stay under the 128 KiB of free heap that glibc keeps rather
+    than gives back to be faulted in again on the next call.
     """
-    m = np.arange(3 * d - 2)[:, None]
-    k = np.arange(d)
-    terms = np.exp(1j * (2.0 * np.pi * m * k / d))
-    total = np.cumsum(terms, axis=1)[:, -1]
-    expected = np.where(m[:, 0] % d == 0, d, 0)
-    return float(np.max(np.abs(total - expected)))
+    k, worst, rows = np.arange(d), 0.0, max(1, _BOX // 4 // d)
+    for lo in range(0, 3 * d - 2, rows):
+        m = np.arange(lo, min(lo + rows, 3 * d - 2))[:, None]
+        terms = np.exp(1j * (2.0 * np.pi * m * k / d))
+        total = np.cumsum(terms, axis=1)[:, -1]
+        expected = np.where(m[:, 0] % d == 0, d, 0)
+        worst = max(worst, float(np.max(np.abs(total - expected))))
+    return worst
 
 
 def _exact(d: int) -> float:

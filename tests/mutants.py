@@ -84,10 +84,9 @@ MUTANTS = [
     Mutant(
         "label map made after the large array",
         "src/quditswap/circuit.py",
-        "    k, labels = len(free), shared(_label_map, d, n, tuple(free))\n"
-        "    blocks = np.empty(d ** (n + k), dtype=np.complex128)\n",
-        "    k = len(free)\n"
-        "    blocks = np.empty(d ** (n + k), dtype=np.complex128)\n"
+        "    labels = shared(_label_map, d, n, tuple(free))\n"
+        "    buf = np.empty(min(step, d) * per, dtype=np.complex128)\n",
+        "    buf = np.empty(min(step, d) * per, dtype=np.complex128)\n"
         "    labels = shared(_label_map, d, n, tuple(free))\n",
         ("tests/test_verify.py::test_verify_all_faults_in_no_pages_while_the_caller_holds_arrays",),
     ),
@@ -120,14 +119,15 @@ MUTANTS = [
     Mutant(
         "dense slab without its left pad",
         "src/quditswap/circuit.py",
-        "        pad = 0 if g.perm is not None else lo % 8\n",
+        "        pad = 0 if g.perm is not None else (offset + lo) % 8\n",
         "        pad = 0\n",
         ("tests/test_oracles.py::test_dense_slab_step_keeps_the_bits_of_the_whole_call",),
     ),
     Mutant(
         "interior dense slab not right-padded",
         "src/quditswap/circuit.py",
-        "        end = pad + w if g.perm is not None or lo + w == cols else -(-(pad + w) // 8) * 8\n",
+        "        end = pad + w if g.perm is not None or offset + lo + w == whole else"
+        " -(-(pad + w) // 8) * 8\n",
         "        end = pad + w\n",
         ("tests/test_oracles.py::test_dense_slab_step_keeps_the_bits_of_the_whole_call",),
     ),
@@ -165,10 +165,39 @@ MUTANTS = [
     Mutant(
         "simulate output cut on the whole register",
         "src/quditswap/cli.py",
-        "    idx = np.concatenate([lo + np.flatnonzero(np.abs(out[lo:lo + _SLAB]) >= AMP_EPSILON)\n"
-        "                          for lo in range(0, out.size, _SLAB)])  # no float array of size d^n\n",
-        "    idx = np.flatnonzero(np.abs(out) >= AMP_EPSILON)\n",
+        "            idx = lo + np.flatnonzero(np.abs(out[lo:lo + _SLAB]) >= AMP_EPSILON)\n",
+        "            idx = (lo + np.flatnonzero(np.abs(out) >= AMP_EPSILON))[lo:lo + _SLAB]\n",
         ("tests/test_oracles.py::test_simulate_label_run_holds_its_state_and_slab_buffers",),
+    ),
+    Mutant(
+        "box buffers over 128 KiB",
+        "src/quditswap/circuit.py",
+        "_BOX = 8000\n",
+        "_BOX = 2**15\n",
+        ("tests/test_verify.py::test_the_first_pass_at_a_larger_d_faults_in_few_pages",
+         "tests/test_oracles.py::test_decomposition_distance_allocates_a_box_and_buffers"
+         "_under_128_kib[64]"),
+    ),
+    Mutant(
+        "boxed dense op placed at column 0 of its whole call",
+        "src/quditswap/circuit.py",
+        "            _apply(g, front, len(wires), lo * per, d * per)\n",
+        "            _apply(g, front, len(wires))\n",
+        ("tests/test_oracles.py::test_boxed_blocks_match_the_whole_array_bit_for_bit",),
+    ),
+    Mutant(
+        "OpenBLAS buffer mapped after the register",
+        "src/quditswap/cli.py",
+        "        np.ones((2, 2), complex) @ np.ones((2, 8), complex)\n",
+        "        pass\n",
+        ("tests/test_cli.py::test_openblas_buffer_is_mapped_before_the_register",),
+    ),
+    Mutant(
+        "finiteness checked on the whole register",
+        "src/quditswap/core.py",
+        "            finite = np.isfinite(amps[lo:lo + _SLAB])\n",
+        "            finite = np.isfinite(amps)[lo:lo + _SLAB]\n",
+        ("tests/test_core.py::test_finiteness_check_holds_one_slab_of_bools",),
     ),
 ]
 

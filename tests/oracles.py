@@ -8,16 +8,19 @@ package's gates and kernel, as the identity suite did before it proved the
 permutation claims on basis labels.  The ping-pong kernel, the package's
 kernel before it ran in place, is kept as the reference of the in-place one;
 the identity start of the blocks runs every op of a circuit through it, op 0
-included.
+included.  The whole-array blocks, ``table_dist`` and ``circuit_unitary`` are
+the package's before it ran the blocks a box at a time, the boxed run's
+reference.
 """
 
 import json
 
 import numpy as np
 
-from quditswap.circuit import _blocks, _run, partial_swap_circuit, swap_circuit
-from quditswap.core import GateMatrix, StateVector
-from quditswap.gates import GateKind
+from quditswap import circuit
+from quditswap.circuit import _label_map, _moved, _run, partial_swap_circuit, swap_circuit
+from quditswap.core import DimensionError, GateMatrix, StateVector, _check_budget
+from quditswap.gates import GateKind, shared
 
 # basis map of each permutation gate, (control, target) -> (control, target)
 _PAIR_MAPS = {
@@ -235,14 +238,59 @@ def pingpong_run(c, t: np.ndarray, first: int = 0) -> np.ndarray:
     return out
 
 
+def whole_blocks(c, run=_run):
+    """``circuit._blocks`` as one array: (blocks, base, parts, col), the blocks (d,)*n + (d^f,)
+    with the free wire axes first in memory, run by ``run`` in one call over every label."""
+    d, n = c.d, c.n
+    free = sorted({w - 1 for op, g in zip(c.ops, c.gates)
+                   for w, moved in zip(op.wires, shared(_moved, g, d, len(op.wires))) if moved})
+    _check_budget(d, n + len(free))
+    k, labels = len(free), shared(_label_map, d, n, tuple(free))
+    blocks = np.empty(d ** (n + k), dtype=np.complex128)
+    first = int(c.gates[0].matrix is not None and free == [w - 1 for w in c.ops[0].wires])
+    g = c.gates[0].matrix if first else np.eye(d**k)
+    np.copyto(blocks.reshape((d,) * k + (-1,) + (d,) * k), g.reshape((d,) * k + (1,) + (d,) * k))
+    order = free + [w for w in range(n + 1) if w not in free]  # the label axes in memory order
+    t = blocks.reshape((d,) * n + (-1,)).transpose(sorted(range(n + 1), key=order.__getitem__))
+    return (run(c, t, first), *labels)
+
+
+def circuit_unitary(c, blocks=whole_blocks) -> GateMatrix:
+    """``circuit.circuit_unitary``, each row's block scattered from one array of blocks."""
+    d, n = c.d, c.n
+    if all(g.perm is not None for g in c.gates):
+        return circuit.circuit_unitary(c)  # the table path, which runs no blocks
+    _check_budget(d, 2 * n)
+    t, base, parts, _ = blocks(c)
+    rows = t.reshape(d**n, -1)
+    if parts.size == 1:
+        return GateMatrix(phases=rows[:, 0])
+    out = np.zeros((d**n, d**n), dtype=np.complex128)
+    out[np.arange(d**n)[:, None], base[:, None] + parts] = rows
+    return GateMatrix(out)
+
+
+def table_dist(c, table: GateMatrix, blocks=whole_blocks) -> float:
+    """``circuit.table_dist``, the table's 1s taken off one array of blocks, read at once."""
+    d, n = c.d, c.n
+    if table.perm is None or table.dim != d**n:
+        raise DimensionError(f"expected a permutation table on {d**n} labels")
+    if all(g.perm is not None for g in c.gates):
+        return circuit.table_dist(c, table)  # the table path, which runs no blocks
+    t, base, _, col = blocks(c)
+    own = base[table.perm] == base  # the columns whose 1 lies in their own block
+    t[(*np.unravel_index(table.perm[own], (d,) * n), col[own])] -= 1
+    return max(float(np.abs(t).max()), 0.0 if own.all() else 1.0)
+
+
 def identity_start_blocks(c):
-    """``circuit._blocks`` without the op-0 write, in label order.
+    """``whole_blocks`` without the op-0 write, in label order.
 
     The identity over the free wires is written at each label's own block
     column of a fresh array of zeros, and the ping-pong kernel applies every
     op to it.  The label map is ``_blocks``' own.
     """
-    _, base, parts, col = _blocks(c)
+    _, base, parts, col = whole_blocks(c)
     blocks = np.zeros((col.size, col.max() + 1), dtype=np.complex128)
     blocks[np.arange(col.size), col] = 1.0
     blocks = pingpong_run(c, blocks).reshape((c.d,) * c.n + (-1,))

@@ -244,33 +244,45 @@ def test_gone_reader_of_a_captured_stdout_exits_2(capsys):
 
 
 # the child caps its own address space at its size after the import plus a
-# headroom, so the cap holds in that child alone; one small product first maps
-# OpenBLAS's buffer (32 MiB of address space), so the headroom is the arrays'
+# headroom, so the cap holds in that child alone; unless told "cold", one small
+# product first maps OpenBLAS's buffer (32 MiB of address space), so the
+# headroom is the arrays'
 _CAPPED_MAIN = """
 import resource, sys
 import numpy as np
 from quditswap.cli import main
-np.ones((2, 2), complex) @ np.ones((2, 8), complex)
+if sys.argv[1] != "cold":
+    np.ones((2, 2), complex) @ np.ones((2, 8), complex)
 with open("/proc/self/status") as fh:
     size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:")) * 1024
-resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), resource.RLIM_INFINITY))
-sys.exit(main(sys.argv[2:]))
+resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[2]), resource.RLIM_INFINITY))
+sys.exit(main(sys.argv[3:]))
 """
 
 
-def _capped_simulate(tmp_path, n):
+def _capped_simulate(tmp_path, n, warm="warm", headroom=24 * 2**20):
     """A fresh ``simulate`` of QFT 1; CX 1 2 on 2^n amplitudes from |0...0>, its address space
-    capped at its size after the import plus 24 MiB."""
+    capped at its size after the import, and OpenBLAS's buffer unless ``warm`` is "cold",
+    plus ``headroom``."""
     qc = tmp_path / "qft.qc"
     qc.write_text(f"dim 2\nwires {n}\nQFT 1\nCX 1 2\n", encoding="utf-8")
     argv = ["simulate", "--circuit", str(qc), "--input", ",".join("0" * n)]
-    return subprocess.run([sys.executable, "-c", _CAPPED_MAIN, str(24 * 2**20), *argv],
+    return subprocess.run([sys.executable, "-c", _CAPPED_MAIN, warm, str(headroom), *argv],
                           env=child_env(), capture_output=True, text=True, timeout=60)
 
 
 def test_memory_exhaustion_is_an_error_line_and_exit_2(tmp_path):
     # 2^21 amplitudes take 32 MiB: the basis state itself does not fit the headroom
     proc = _capped_simulate(tmp_path, 21)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
+
+
+def test_openblas_buffer_is_mapped_before_the_register(tmp_path):
+    # unwarmed, with 48 MiB of headroom: a 32 MiB register would fit, and then
+    # OpenBLAS could not map its 32 MiB buffer at the first product and would
+    # end the process with exit 1; mapped first, the register does not fit
+    proc = _capped_simulate(tmp_path, 21, "cold", 48 * 2**20)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quditswap.circuit import Circuit, GateOp, simulate
 from quditswap.core import (
+    _SLAB,
     DimensionError,
     GateMatrix,
     StateVector,
@@ -130,3 +132,30 @@ def test_x_d_dagger_inverts_perm():
     g = x_d(5)
     gd = g.dagger()
     assert tuple(gd.perm[g.perm[j]] for j in range(5)) == tuple(range(5))
+
+
+def _edges(size):
+    """The first and last index of a register of ``size`` amplitudes and of each slab."""
+    return sorted({0, size - 1, *(e for s in range(_SLAB, size, _SLAB) for e in (s - 1, s))})
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 3 * _SLAB + 5).flatmap(lambda size: st.tuples(st.just(size), st.lists(
+    st.sampled_from(_edges(size)) | st.integers(0, size - 1), min_size=1, max_size=3))))
+@example((_SLAB + 1, [_SLAB]))
+def test_a_non_finite_amplitude_is_named_by_its_first_index(drawn):
+    # checked a slab at a time: the bad entries drawn anywhere, and at the slabs' edges
+    size, at = drawn
+    amps = np.ones(size, dtype=np.complex128)
+    for i in at:  # NaN, inf or both, in either part
+        amps[i] = complex(np.nan if i % 2 else 1.0, np.inf if i % 3 else 0.0) if i % 6 else -np.inf
+    with pytest.raises(ValueError) as exc:
+        StateVector(size, 1, amps)
+    assert str(exc.value) == f"non-finite amplitude at index {min(at)}"
+
+
+def test_finiteness_check_holds_one_slab_of_bools():
+    # 2^20 amplitudes: one bool each would take 1 MiB; a slab's check takes 65 KB
+    amps = np.ones(2**20, dtype=np.complex128)
+    _, peak = peak_bytes(lambda: StateVector(2, 20, amps))
+    assert peak <= 4 * _SLAB

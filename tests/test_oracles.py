@@ -209,9 +209,15 @@ def kept_wire_circuits(draw):
 @example(cx_tilde_decomposition(64))
 @example(cx_tilde_decomposition_alt(61))
 def test_blocks_of_the_in_place_kernel_match_the_pingpong_kernel(c):
-    with mock.patch.object(circuit, "_run", oracles.pingpong_run):
-        want = _blocks(c)[0]
-    assert np.array_equal(_bits(_blocks(c)[0]), _bits(want))
+    want = oracles.whole_blocks(c, oracles.pingpong_run)[0]
+    assert np.array_equal(_bits(_boxed_blocks(c)[0]), _bits(want))
+
+
+def _boxed_blocks(c):
+    """``_blocks(c)``: its boxes, each copied before the next reuses the buffer, joined in
+    label order, and its label map."""
+    base, parts, col, boxes = _blocks(c)
+    return np.concatenate([t.copy() for _, t in boxes]), base, parts, col
 
 
 @settings(deadline=None, max_examples=150)
@@ -241,6 +247,30 @@ def test_dense_slab_step_keeps_the_bits_of_the_whole_call(rows, cols, seed):
             with mock.patch.object(circuit, "_SLAB", slab):
                 _apply(g, front, 1)
             assert np.array_equal(_bits(front.reshape(rows, cols)), _bits(want)), (slab, inner)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(2, 64), st.integers(1, 2048), st.data())
+@example(rows=9, cols=81, data=None)
+@example(rows=61, cols=61 * 61, data=None)
+def test_dense_boxes_of_a_whole_call_keep_its_bits(rows, cols, data):
+    # a whole call's columns cut into boxes, none inside its last partial panel,
+    # each applied on its own from its whole-call place: in place, or gathered
+    rng = np.random.default_rng(rows * cols)
+    g = GateMatrix(rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows)))
+    x = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    want = g.matrix @ x
+    edges = range(rows, cols // 8 * 8 + 1, rows) if data is None else data.draw(
+        st.lists(st.integers(1, cols // 8 * 8), max_size=4)) if cols >= 8 else []
+    edges = [0, *sorted(set(edges) - {0, cols}), cols]
+    for slab in (2**8, _SLAB):
+        got = x.copy()
+        for i, (a, b) in enumerate(zip(edges, edges[1:])):
+            box = got[:, a:b] if i % 2 else np.ascontiguousarray(got[:, a:b])
+            with mock.patch.object(circuit, "_SLAB", slab):
+                _apply(g, box, 1, a, cols)
+            got[:, a:b] = box
+        assert np.array_equal(_bits(got), _bits(want)), (slab, edges)
 
 
 def test_run_of_an_empty_circuit_returns_the_input_values():
@@ -278,6 +308,87 @@ KEPT_WIRE_CIRCUITS = [
                        (GateKind.CZd, (3, 2)), (GateKind.IQFT, (2,)))),
     SWAP_1_3,
 ]
+
+
+@st.composite
+def boxed_circuits(draw):
+    """A circuit at d 2..64 on n 2..4 wires, d^(n+f) <= 2^16 for f free wires (2^18 at n = 2),
+    and the box size its blocks run in.
+
+    Drawn from all ten kinds: each op moves the free wires alone, so a kept wire 1
+    takes tables (ID, X at d = 2, a control) and phases; wire 1 is free in one
+    circuit in four, and the blocks are then one box.  Boxes of one digit of wire 1
+    put an edge next to a dense op's last partial panel when d is odd.
+    """
+    d = draw(st.integers(2, 64))
+    n = draw(st.integers(2, max(k for k in (2, 3, 4) if k == 2 or d ** (k + 1) <= 2**16)))
+    free = draw(st.lists(st.integers(2, n), min_size=1, unique=True))
+    free = sorted(free + [1] * (draw(st.integers(0, 3)) == 0))  # wire 1 free in one of four
+    while d ** (n + len(free)) > (2**18 if n == 2 else 2**16):
+        free.pop()
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6)):
+        if kind in (GateKind.QFT, GateKind.IQFT) or (kind is GateKind.Xd and d > 2):
+            ops.append(GateOp(kind, (draw(st.sampled_from(free)),)))
+        elif kind.arity == 1:  # ID, and X at d = 2, keep their digit
+            ops.append(GateOp(kind, (draw(st.integers(1, n)),)))
+        elif kind is GateKind.SWAP:
+            if len(free) > 1:
+                ops.append(GateOp(kind, tuple(draw(st.permutations(free))[:2])))
+        elif kind in (GateKind.CZd, GateKind.CZdDag):
+            ops.append(GateOp(kind, tuple(draw(st.permutations(range(1, n + 1)))[:2])))
+        else:  # a controlled adder changes its target's digit alone
+            target = draw(st.sampled_from(free))
+            ops.append(GateOp(kind, (draw(st.sampled_from([w for w in range(1, n + 1)
+                                                           if w != target])), target)))
+    ops = ops or [GateOp(GateKind.QFT, (free[-1],))]  # no SWAP on one free wire
+    box = draw(st.sampled_from([circuit._BOX, 2**11, 300, 1]))
+    return Circuit(d, n, tuple(ops)), box
+
+
+@settings(deadline=None, max_examples=200)
+@given(boxed_circuits(), st.integers(0, 2**32 - 1))
+@example((cx_tilde_decomposition(2), 1), 0)
+@example((cx_tilde_decomposition(9), 1), 0)
+@example((cx_tilde_decomposition_alt(11), 1), 1)
+@example((cx_tilde_decomposition(61), circuit._BOX), 0)
+@example((cx_tilde_decomposition_alt(64), circuit._BOX), 1)
+@example((Circuit(5, 3, _ops(5, (GateKind.QFT, (3,)), (GateKind.CXd, (1, 3)),
+                           (GateKind.CZdDag, (3, 1)), (GateKind.Identity, (1,)),
+                           (GateKind.IQFT, (2,)), (GateKind.SWAP, (2, 3)))), 300), 0)
+@example((Circuit(2, 3, _ops(2, (GateKind.QFT, (2,)), (GateKind.Xd, (1,)),
+                           (GateKind.CXTilde, (1, 3)))), 1), 1)
+@example((Circuit(7, 2, _ops(7, (GateKind.QFT, (1,)), (GateKind.CZd, (1, 2)),
+                           (GateKind.QFT, (2,)))), 1), 0)
+@example((Circuit(2, 2, _ops(2, (GateKind.CZd, (1, 2)))), 1), 0)  # no free wire: phases
+def test_boxed_blocks_match_the_whole_array_bit_for_bit(case, seed):
+    c, box = case
+    rng = np.random.default_rng(seed)
+    d, n = c.d, c.n
+    with mock.patch.object(circuit, "_BOX", box):
+        blocks, base, parts, col = _boxed_blocks(c)
+        assert np.array_equal(_bits(blocks), _bits(oracles.whole_blocks(c)[0]))
+        # a table that keeps every label in its block, or any table
+        perm = base + parts[rng.permutation(parts.size)][col] if seed % 2 else rng.permutation(d**n)
+        table = GateMatrix(perm=perm)
+        assert table_dist(c, table).hex() == oracles.table_dist(c, table).hex()
+        if d**n <= 512:
+            got_u, want_u = circuit_unitary(c), oracles.circuit_unitary(c)
+            assert np.array_equal(_bits(got_u.entries), _bits(want_u.entries))
+
+
+def test_a_kept_wire_1_runs_the_blocks_a_box_of_its_digits_at_a_time():
+    # 8,000 entries a box at most: 5 digits of wire 1 at d = 40, 1 at d = 64, and a
+    # dense op whose columns of a digit are not whole panels pads a box by 14 of them
+    for d, sizes in ((40, [5] * 8), (64, [1] * 64), (63, [1] * 63), (31, [7, 7, 7, 7, 3])):
+        _, _, _, boxes = _blocks(cx_tilde_decomposition(d))
+        shapes = [(rows, t.shape) for rows, t in boxes]
+        assert [t[0] for _, t in shapes] == sizes, d
+        assert all(t[1:] == (d, d) and r.stop - r.start == t[0] * d for r, t in shapes)
+        assert max(t[0] for _, t in shapes) * d * d + 14 * d * (d % 8 > 0) <= circuit._BOX
+    # wire 1 free: one box of every label
+    (rows, t), = _blocks(Circuit(40, 2, _ops(40, (GateKind.QFT, (1,)))))[3]
+    assert rows == slice(0, 1600) and t.shape == (40, 40, 40)
 
 
 @pytest.mark.parametrize("c", KEPT_WIRE_CIRCUITS, ids=lambda c: f"d{c.d}n{c.n}-{len(c.ops)}ops")
@@ -451,14 +562,20 @@ def test_verify_decomposition_allocates_less_than_a_quarter_of_the_unitary():
     assert peak < d**4 * 16 / 4
 
 
-def test_verify_decomposition_allocates_its_blocks_and_two_slabs():
-    # one circuit at a time: its blocks, one slab buffer (the dense op after op 0
-    # reads its rows where they lie), the phase multiply's buffer, the compare's
-    # chunk of distances and small arrays; at d = 64 the blocks hold 8 slabs
-    d = 64
-    verify_identity("decomposition", d)
-    _, peak = peak_bytes(lambda: verify_identity("decomposition", d))
-    assert peak <= d**3 * 16 + 2 * _SLAB * 16
+@pytest.mark.parametrize("d", [21, 32, 40, 59, 61, 63, 64])
+def test_decomposition_distance_allocates_a_box_and_buffers_under_128_kib(d):
+    # with its gates and label map built: one box of blocks, two slab buffers (one
+    # when the dense op reads its rows where they lie), the compare's |b| of a box,
+    # and five index arrays of d^2 labels, 4096 at most: 265 to 512 KiB over
+    # d = 20..64, where the blocks at d = 64 were one array of 4 MiB
+    token = gates.GATE_SET.set({})
+    try:
+        verify_identity("decomposition", d)
+        for build in (cx_tilde_decomposition, cx_tilde_decomposition_alt):
+            _, peak = peak_bytes(lambda: table_dist(build(d), cx_tilde(d)))
+            assert peak <= 4 * 2**17 + 5 * 8 * 4096, (build.__name__, peak)
+    finally:
+        gates.GATE_SET.reset(token)
 
 
 def test_simulate_allocates_one_copy_and_slab_buffers():
@@ -493,10 +610,6 @@ def test_table_dist_of_a_permutation_circuit_needs_only_the_state_budget():
     assert table_dist(once, identity_gate(d, n)) == 1.0
 
 
-def _identity_start():
-    """``circuit._blocks`` replaced by the slow identity start, for a reference run."""
-    return mock.patch("quditswap.circuit._blocks", oracles.identity_start_blocks)
-
 
 @st.composite
 def dense_first_circuits(draw):
@@ -527,21 +640,21 @@ def dense_first_circuits(draw):
 @example(Circuit(3, 3, _ops(3, (GateKind.IQFT, (2,)), (GateKind.CZd, (3, 2)))), 0)
 @example(Circuit(2, 4, _ops(2, (GateKind.QFT, (3,)), (GateKind.CXd, (1, 4)))), 1)
 def test_op0_write_matches_the_identity_start(c, seed):
-    blocks, base, parts, col = _blocks(c)
+    blocks, base, parts, col = _boxed_blocks(c)
     assert np.array_equal(blocks, oracles.identity_start_blocks(c)[0])
     rng = np.random.default_rng(seed)
     # a table that keeps every label in its block, or any table
     perm = base + parts[rng.permutation(parts.size)][col] if seed % 2 else rng.permutation(c.d**c.n)
     table = GateMatrix(perm=perm)
-    with _identity_start():
-        want_dist, want_u = table_dist(c, table), circuit_unitary(c)
+    want_dist = oracles.table_dist(c, table, oracles.identity_start_blocks)
+    want_u = oracles.circuit_unitary(c, oracles.identity_start_blocks)
     assert table_dist(c, table) == want_dist
     assert np.array_equal(circuit_unitary(c).entries, want_u.entries)
 
 
 @pytest.mark.parametrize("c", KEPT_WIRE_CIRCUITS, ids=lambda c: f"d{c.d}n{c.n}-{len(c.ops)}ops")
 def test_blocks_of_kept_wire_circuits_match_the_identity_start(c):
-    assert np.array_equal(_blocks(c)[0], oracles.identity_start_blocks(c)[0])
+    assert np.array_equal(_boxed_blocks(c)[0], oracles.identity_start_blocks(c)[0])
 
 
 class _JunkNumpy:
@@ -569,11 +682,12 @@ def test_blocks_start_from_memory_that_holds_junk(c, data):
     for circ in (c, second):
         want = oracles.identity_start_blocks(circ)[0]
         with mock.patch("quditswap.circuit.np", _JunkNumpy()):
-            assert np.array_equal(_blocks(circ)[0], want)
+            assert np.array_equal(_boxed_blocks(circ)[0], want)
 
 
 def test_verify_reports_match_the_identity_start():
-    with _identity_start():
+    with mock.patch("quditswap.verify.table_dist",
+                    lambda c, t: oracles.table_dist(c, t, oracles.identity_start_blocks)):
         want = verify_all(2, 64)
     assert verify_all(2, 64) == want
 
@@ -1196,6 +1310,19 @@ def test_simulate_label_run_holds_its_state_and_slab_buffers(tmp_path):
     # output's cut a slab at a time: 1.25x the state; a cut that takes |amplitude|
     # of the whole register reaches 1.56x, a second array of the state's size 2.25x
     assert _cli_peak(argv) <= 1.4 * 2**n * 16
+
+
+def test_simulate_dense_output_is_cut_and_written_a_slab_at_a_time(tmp_path):
+    # every one of 2^17 amplitudes is printed: the basis state, the run's slab
+    # buffers and one batch of rows take 1.61x the state; the indices of the
+    # printed amplitudes, gathered before the first row was written, took 2.0x
+    def argv(n):
+        qc = tmp_path / f"qft{n}.qc"
+        qc.write_text(f"dim 2\nwires {n}\n" + "".join(f"QFT {w}\n" for w in range(1, n + 1)),
+                      encoding="utf-8")
+        return ["simulate", "--circuit", str(qc), "--input", ",".join("0" * n)]
+    _cli_peak(argv(2))  # lazy set-up is not counted
+    assert _cli_peak(argv(17)) <= 1.8 * 2**17 * 16
 
 
 @pytest.mark.parametrize("gate", ["CX", "CZ"])

@@ -184,3 +184,29 @@ def test_verify_all_faults_in_no_pages_while_the_caller_holds_arrays():
     out = subprocess.run([sys.executable, "-c", _HELD_ARRAYS_RUN], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout
     assert int(out) < 10 * 100
+
+
+_FIRST_PASSES_RUN = """
+import resource
+from quditswap.verify import verify_all
+
+def faults(d):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    verify_all(d, d)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+verify_all(32, 32)
+print(faults(40), faults(64))
+"""
+
+
+def test_the_first_pass_at_a_larger_d_faults_in_few_pages():
+    # every buffer of a check is under glibc's 128 KiB mmap threshold, so a larger
+    # d takes its pages from the heap; a d^(n+f) block array of 1 MB at d = 40 and
+    # 4 MB at d = 64 was mapped anew: 747 minor faults at d = 40
+    src = str(Path(quditswap.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FIRST_PASSES_RUN], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    at_40, at_64 = map(int, out.split())
+    assert at_40 < 100 and at_64 < 100, (at_40, at_64)
