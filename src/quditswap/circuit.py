@@ -113,9 +113,9 @@ def _apply(g: GateMatrix, front: np.ndarray, k: int, offset: int = 0, whole: int
     time: read where it lies if ``front`` is C-contiguous and the box needs no pad,
     else gathered into a slab buffer, then through a second buffer and back.  The
     columns are columns ``offset`` on of a call over ``whole`` (W if 0) columns.
-    OpenBLAS computes a column by its 8-wide panel, so a dense box keeps the bits of
-    one ``G @ rows`` over all of them: zero columns put it at its places mod 8 and,
-    unless it ends the whole call, fill its last panel.
+    OpenBLAS computes a column by its 8-wide panel, so a dense box keeps the bits of one
+    ``G @ rows`` over all of them: zero columns put it at its places mod 8, fill its last
+    panel unless it ends the whole call, and lead a lone column, else a matrix-vector product.
     """
     if g.phases is not None:  # taken in memory order, the multiply buffers only the phases
         mem = sorted(range(front.ndim), key=front.strides.__getitem__)[::-1]
@@ -129,7 +129,7 @@ def _apply(g: GateMatrix, front: np.ndarray, k: int, offset: int = 0, whole: int
     src, lead = (front.reshape(rows, cols), 1) if flat else (front, k)
     spans, width, gather = [], 0, not flat
     for box, lo, w in _slabs(src.shape[lead:], max(16, _SLAB // rows // 8 * 8)):
-        pad = 0 if g.perm is not None else (offset + lo) % 8
+        pad = 0 if g.perm is not None else (offset + lo) % 8 or 8 * (w == 1 < whole)
         end = pad + w if g.perm is not None or offset + lo + w == whole else -(-(pad + w) // 8) * 8
         spans.append((src[(slice(None),) * lead + box], pad, w, end))
         width, gather = max(width, end), gather or end > w  # the widest box; one to pad

@@ -3,7 +3,8 @@
 Each entry is (name, file, exact old text, new text, test ids that must fail):
 applied to a copy of the repository, the edit must make every listed test
 fail.  ``tests/test_mutants.py`` checks in Tier-1 that each old text occurs
-exactly once in its file, so moving the code means updating this list.
+exactly once in its file and that pytest collects each listed test id, so
+moving the code or renaming a test means updating this list.
 
     python tests/mutants.py [NAME ...]
 
@@ -110,18 +111,56 @@ MUTANTS = [
     Mutant(
         "_load_state without the two-column check",
         "src/quditswap/cli.py",
-        "            if pairs.shape[1] != 2:\n"
-        "                raise ValueError(\"not two columns\")\n",
-        "",
+        "            if pairs is None or pairs.shape[1] != 2:\n",
+        "            if pairs is None:\n",
         ("tests/test_oracles.py::test_load_state_errors_match_oracle[four-columns]",
          "tests/test_oracles.py::test_load_state_errors_match_oracle[one-column]"),
     ),
     Mutant(
+        "a file with a comma handed to numpy's parser",
+        "src/quditswap/cli.py",
+        "pairs = None if commas else np.loadtxt(fh, comments=\"#\", ndmin=2)",
+        "pairs = np.loadtxt(fh, comments=\"#\", ndmin=2)",
+        ("tests/test_oracles.py::test_a_file_is_parsed_by_one_reader[late-comma]",
+         "tests/test_oracles.py::test_a_file_is_parsed_by_one_reader[comma-in-a-comment]"),
+    ),
+    Mutant(
+        "a pipe scanned for a comma",
+        "src/quditswap/cli.py",
+        "commas = fh.seekable() and any(",
+        "commas = any(",
+        ("tests/test_oracles.py::test_a_state_from_a_pipe_is_read_without_a_scan",),
+    ),
+    Mutant(
+        "CXT's digit map with its target sign flipped",
+        "src/quditswap/gates.py",
+        "    return _table(d, ((1, 0), (-1, -1)))\n",
+        "    return _table(d, ((1, 0), (1, 1)))\n",
+        ("tests/test_gates.py::test_table_builds_match_the_oracle_tables[3]",
+         "tests/test_gates.py::test_cx_tilde_mappings",
+         "tests/test_golden.py::test_verify_json_keeps_its_golden_text"),
+    ),
+    Mutant(
+        "X's map as +1",
+        "src/quditswap/gates.py",
+        "    return _table(d, ((-1,),))\n",
+        "    return _table(d, ((1,),))\n",
+        ("tests/test_gates.py::test_table_builds_match_the_oracle_tables[3]",
+         "tests/test_gates.py::test_x_d_d3"),
+    ),
+    Mutant(
         "dense slab without its left pad",
         "src/quditswap/circuit.py",
-        "        pad = 0 if g.perm is not None else (offset + lo) % 8\n",
+        "        pad = 0 if g.perm is not None else (offset + lo) % 8 or 8 * (w == 1 < whole)\n",
         "        pad = 0\n",
         ("tests/test_oracles.py::test_dense_slab_step_keeps_the_bits_of_the_whole_call",),
+    ),
+    Mutant(
+        "a lone last column left to a matrix-vector product",
+        "src/quditswap/circuit.py",
+        "(offset + lo) % 8 or 8 * (w == 1 < whole)\n",
+        "(offset + lo) % 8\n",
+        ("tests/test_oracles.py::test_dense_boxes_of_a_whole_call_keep_its_bits",),
     ),
     Mutant(
         "interior dense slab not right-padded",

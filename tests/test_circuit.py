@@ -1,7 +1,9 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quditswap.circuit import (
     Circuit,
@@ -419,3 +421,56 @@ def test_ops_carry_no_dimension_and_serve_every_d():
         assert table_dist(Circuit(d, 2, ops), swap_ref(d)) == 0
         assert verify_identity("swap", d).passed
     assert Circuit(3, 2, ops) != Circuit(4, 2, ops)
+
+
+# each table kind as an integer map of its digits (control first), kept apart from the builders'
+_DIGIT_MAPS = {
+    GateKind.CXTilde: [[1, 0], [-1, -1]],
+    GateKind.CXd: [[1, 0], [1, 1]],
+    GateKind.CXdDag: [[1, 0], [-1, 1]],
+    GateKind.Xd: [[-1]],
+    GateKind.SWAP: [[0, 1], [1, 0]],
+    GateKind.Identity: [[1]],
+}
+
+
+@st.composite
+def _table_circuits(draw):
+    """(n, ops): up to eight table ops on 2 or 3 wires."""
+    n = draw(st.integers(2, 3))
+    ops = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(list(_DIGIT_MAPS)))
+        ops.append(GateOp(kind, tuple(draw(st.permutations(range(1, n + 1)))[: kind.arity])))
+    return n, tuple(ops)
+
+
+def _digit_map(n, ops):
+    """The circuit's digit map over Z: each op's map on its wires, multiplied in op order."""
+    m = np.eye(n, dtype=np.int64)
+    for op in ops:
+        step, wires = np.eye(n, dtype=np.int64), [w - 1 for w in op.wires]
+        step[np.ix_(wires, wires)] = _DIGIT_MAPS[op.kind]
+        m = step @ m
+    return m
+
+
+@settings(deadline=None, max_examples=100)
+@given(_table_circuits())
+@example((2, (GateOp(GateKind.CXTilde, (1, 2)), GateOp(GateKind.CXTilde, (2, 1)),
+              GateOp(GateKind.CXTilde, (1, 2)))))  # the paper's SWAP: g = 0
+@example((2, (GateOp(GateKind.CXd, (1, 2)), GateOp(GateKind.CXd, (2, 1)),
+              GateOp(GateKind.CXd, (1, 2)))))  # three CX: a SWAP at d = 2 alone
+@example((3, (GateOp(GateKind.Xd, (3,)),)))  # X is the identity at d = 2 alone
+def test_a_table_circuit_meets_its_target_exactly_where_d_divides_the_gcd(circuit):
+    """A table circuit is the integer map M of its digits, so it equals a target table T at d
+    exactly when d divides g, the gcd of the entries of M - T; g = 0 means at every d."""
+    n, ops = circuit
+    m = _digit_map(n, ops)
+    swap12 = np.eye(n, dtype=np.int64)[[1, 0, *range(2, n)]]
+    for target, t in ((lambda d: identity_gate(d, n), np.eye(n, dtype=np.int64)),
+                      (lambda d: GateMatrix(perm=np.arange(d**n).reshape((d,) * n).swapaxes(0, 1)
+                                            .ravel()), swap12)):
+        g = math.gcd(*(m - t).ravel().tolist())
+        for d in range(2, 20):
+            assert (table_dist(Circuit(d, n, ops), target(d)) == 0.0) == (g % d == 0), (d, g)

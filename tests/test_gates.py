@@ -17,6 +17,7 @@ from quditswap.gates import (
     x_d,
 )
 
+import oracles
 from oracles import matmul
 from probes import peak_bytes
 
@@ -171,6 +172,16 @@ def test_perm_tables_are_bijections(d):
         perm = builder(d).perm
         assert sorted(perm) == list(range(d * d))
     assert sorted(x_d(d).perm) == list(range(d))
+
+
+TABLE_BUILDERS = {GateKind.CXTilde: cx_tilde, GateKind.CXd: cx_d, GateKind.CXdDag: cx_d_dag,
+                  GateKind.Xd: x_d, GateKind.SWAP: swap_ref}
+
+
+@pytest.mark.parametrize("d", range(2, 65))
+def test_table_builds_match_the_oracle_tables(d):
+    for kind, build in TABLE_BUILDERS.items():
+        assert build(d).perm.tolist() == list(oracles.perm_table(kind, d)), kind
 
 
 def test_invalid_dimension_rejected():

@@ -232,6 +232,7 @@ def _boxed_blocks(c):
 @example(rows=64, cols=4089, seed=0)
 @example(rows=3, cols=1, seed=0)
 @example(rows=57, cols=785, seed=0)
+@example(rows=6, cols=1011, seed=2557799656)  # without the rule, a cut inside the last panel
 def test_dense_slab_step_keeps_the_bits_of_the_whole_call(rows, cols, seed):
     # OpenBLAS computes a column by its 8-wide panel; this also fails if an
     # update of numpy or OpenBLAS changes that rule
@@ -253,6 +254,7 @@ def test_dense_slab_step_keeps_the_bits_of_the_whole_call(rows, cols, seed):
 @given(st.integers(2, 64), st.integers(1, 2048), st.data())
 @example(rows=9, cols=81, data=None)
 @example(rows=61, cols=61 * 61, data=None)
+@example(rows=2, cols=1585, data=None)  # a last box of one column, the whole call's last panel
 def test_dense_boxes_of_a_whole_call_keep_its_bits(rows, cols, data):
     # a whole call's columns cut into boxes, none inside its last partial panel,
     # each applied on its own from its whole-call place: in place, or gathered
@@ -987,6 +989,39 @@ def test_line_reader_peaks_near_the_state(tmp_path):
     assert np.array_equal(state.amps, amps)
     size = amps.nbytes
     assert peak <= 7 * size, peak / size
+
+
+@pytest.mark.parametrize("last,readers", [
+    pytest.param("{!r} {!r}\n", ["loadtxt"], id="spaces"),
+    # numpy's parser would read every line, fail at the last, and leave them to be read again
+    pytest.param("{!r},{!r}\n", ["_read_lines"], id="late-comma"),
+    pytest.param("{!r} {!r}  # re, im\n", ["_read_lines"], id="comma-in-a-comment"),
+])
+def test_a_file_is_parsed_by_one_reader(tmp_path, monkeypatch, last, readers):
+    amps = _random_amps(6, 64)
+    pairs = [(float(a.real), float(a.imag)) for a in amps]
+    f = tmp_path / "state.txt"
+    f.write_text("".join(f"{re!r} {im!r}\n" for re, im in pairs[:-1]) + last.format(*pairs[-1]),
+                 encoding="utf-8")
+    calls = []
+    for owner, name in ((cli.np, "loadtxt"), (cli, "_read_lines")):
+        monkeypatch.setattr(owner, name, lambda *a, _real=getattr(owner, name), _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    got = cli._load_state(str(f), 2, 6).amps
+    assert calls == readers
+    assert np.array_equal(got.view(np.uint64), oracles.load_state(f, 2, 6).amps.view(np.uint64))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe by /dev/fd")
+def test_a_state_from_a_pipe_is_read_without_a_scan():
+    # a pipe cannot be read twice: a comma scan would leave numpy's parser nothing to read
+    r, w = os.pipe()
+    os.write(w, b"1 0\n0 0.5\n")
+    os.close(w)
+    try:
+        assert cli._load_state(f"/dev/fd/{r}", 2, 1).amps.tolist() == [1, 0.5j]
+    finally:
+        os.close(r)
 
 
 @pytest.mark.parametrize("text", ["", "# a comment\n\n  # another\n"])
