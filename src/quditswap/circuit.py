@@ -129,7 +129,7 @@ def _apply(g: GateMatrix, front: np.ndarray, k: int, offset: int = 0, whole: int
     src, lead = (front.reshape(rows, cols), 1) if flat else (front, k)
     spans, width, gather = [], 0, not flat
     for box, lo, w in _slabs(src.shape[lead:], max(16, _SLAB // rows // 8 * 8)):
-        pad = 0 if g.perm is not None else (offset + lo) % 8 or 8 * (w == 1 < whole)
+        pad = 0 if g.perm is not None else (offset + lo) % 8 or (8 if w == 1 and whole > 1 else 0)
         end = pad + w if g.perm is not None or offset + lo + w == whole else -(-(pad + w) // 8) * 8
         spans.append((src[(slice(None),) * lead + box], pad, w, end))
         width, gather = max(width, end), gather or end > w  # the widest box; one to pad

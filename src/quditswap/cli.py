@@ -99,7 +99,8 @@ def _read_lines(lines) -> np.ndarray:
     """(re, im) float pairs, flat, read one line at a time."""
     values: list[float] = []
     for raw in lines:
-        if not (line := raw.split("#", 1)[0].strip()):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
@@ -109,17 +110,15 @@ def _read_lines(lines) -> np.ndarray:
 
 
 def _load_state(path: str, d: int, n: int) -> StateVector:
-    """The state in a file of (re, im) pairs, one a line.  The line reader reads a file that holds
-    a comma, and decides where numpy's C parser raises, warns or reads other than two columns."""
-    with open(path, "rb") as fh:  # numpy's parser would read every line up to a comma, then fail
-        commas = fh.seekable() and any(b"," in b for b in iter(lambda: fh.read(2**20), b""))
-    with open(path, encoding="utf-8") as fh:  # a pipe is not scanned: its bytes are all read here
+    """The state in a file of (re, im) pairs, one a line.  Where numpy's C parser raises, warns
+    or reads other than two columns, the line reader decides: ``1_0``, commas, the errors."""
+    with open(path, encoding="utf-8") as fh:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # "input contained no data"
-                pairs = None if commas else np.loadtxt(fh, comments="#", ndmin=2)
-            if pairs is None or pairs.shape[1] != 2:
-                raise ValueError("a comma, or not two columns")
+                pairs = np.loadtxt(fh, comments="#", ndmin=2)
+            if pairs.shape[1] != 2:
+                raise ValueError("not two columns")
         except (ValueError, Warning):
             fh.seek(0)
             pairs = _read_lines(fh)

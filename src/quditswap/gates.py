@@ -1,10 +1,12 @@
 """Constructors for the qudit gate set.
 
-Every builder returns a :class:`~quditswap.core.GateMatrix` over one or two qudits of
-dimension d, a pair's first label digit the control; circuit embedding places a gate on
-other wires, in either order.  Each builder checks its d^k entries against the one budget
-(``core._check_budget``) before it allocates them.  ``_table`` builds the five table gates
-from their integer digit maps; the QFT and the phase gates index one vector of d roots.
+Every builder returns a :class:`~quditswap.core.GateMatrix` over one or two
+qudits of dimension d.  For two-qudit gates the first label digit is the
+control and the second the target; placing a gate on other wires (or with the
+control below the target) is the job of circuit embedding, never of the
+constructor.  Each builder checks its d^k entries against the one budget
+(``core._check_budget``) before it allocates them.  The QFT and the phase
+gates index one vector of roots of unity; ``gate_matrix`` builds any kind.
 """
 
 from __future__ import annotations
@@ -48,23 +50,17 @@ def shared(build, *args):
     return build(*args) if built is None else built[key]
 
 
-def _table(d: int, rows: tuple[tuple[int, ...], ...]) -> GateMatrix:
-    """The gate that maps the digits x of each len(rows)-qudit label to ``rows @ x mod d``."""
-    _check_budget(d, len(rows))
-    x = [np.arange(d).reshape((-1,) + (1,) * t) for t in reversed(range(len(rows)))]  # wire 1 first
-    perm = 0
-    for row in rows:  # Horner's rule; x[-1] is 0..d-1, so x[-1].take(m, mode="wrap") is m mod d
-        terms = [xj if c == 1 else c * xj for c, xj in zip(row, x) if c]  # no numpy call for a 1
-        perm = perm * d + x[-1].take(sum(terms[1:], terms[0]), mode="wrap")
-    return GateMatrix(perm=perm.reshape(-1))
+def _digits(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Digit arrays (x, y) of every two-qudit flat index x * d + y, in order."""
+    _check_budget(d, 2)
+    return np.divmod(np.arange(d * d), d)
 
 
 def _powers(d: int, sign: int) -> np.ndarray:
     """e^{sign i 2pi a b / d} at each two-digit label (a, b), read from one vector of d roots."""
-    _check_budget(d, 2)
-    a = np.arange(d)
-    phase = sign * 2.0 * np.pi * a / d  # conjugating sign +1 would flip signed zeros
-    return (np.cos(phase) + 1j * np.sin(phase))[(np.multiply.outer(a, a) % d).reshape(-1)]
+    a, b = shared(_digits, d)
+    phase = sign * 2.0 * np.pi * np.arange(d) / d  # conjugating sign +1 would flip signed zeros
+    return (np.cos(phase) + 1j * np.sin(phase))[(a * b) % d]
 
 
 def qft(d: int) -> GateMatrix:
@@ -92,17 +88,20 @@ def cx_tilde(d: int) -> GateMatrix:
 
     At d=2 this is the CNOT.
     """
-    return _table(d, ((1, 0), (-1, -1)))
+    x, y = shared(_digits, d)
+    return GateMatrix(perm=x * d + (-x - y) % d)
 
 
 def cx_d(d: int) -> GateMatrix:
     """Controlled modular adder (x, y) -> (x, x+y mod d)."""
-    return _table(d, ((1, 0), (1, 1)))
+    x, y = shared(_digits, d)
+    return GateMatrix(perm=x * d + (x + y) % d)
 
 
 def cx_d_dag(d: int) -> GateMatrix:
     """Controlled modular subtractor (x, y) -> (x, y-x mod d)."""
-    return _table(d, ((1, 0), (-1, 1)))
+    x, y = shared(_digits, d)
+    return GateMatrix(perm=x * d + (y - x) % d)
 
 
 def x_d(d: int) -> GateMatrix:
@@ -110,12 +109,14 @@ def x_d(d: int) -> GateMatrix:
 
     Note: at d=2 this is the identity (-x = x mod 2), not the qubit NOT.
     """
-    return _table(d, ((-1,),))
+    _check_budget(d, 1)
+    return GateMatrix(perm=-np.arange(d) % d)
 
 
 def swap_ref(d: int) -> GateMatrix:
     """Ground-truth SWAP permutation (x, y) -> (y, x)."""
-    return _table(d, ((0, 1), (1, 0)))
+    x, y = shared(_digits, d)
+    return GateMatrix(perm=y * d + x)
 
 
 def identity_gate(d: int, wires: int = 1) -> GateMatrix:
