@@ -5,8 +5,8 @@ is the product of the ops with the first op as the rightmost factor.  The
 kernel ``_run`` alone applies gates to amplitudes, in place on the one array
 it is given; ``_follow`` moves labels through tables.  ``_blocks`` runs a
 circuit on the identity over the wires it changes, one box of wire 1's
-digits at a time when no op changes that digit, for ``circuit_unitary`` and
-``table_dist`` to read as each box is done.  Wires are 1-based, wire 1 on
+digits at a time when its ops on wire 1 are phase gates, for ``circuit_unitary``
+and ``table_dist`` to read as each box is done.  Wires are 1-based, wire 1 on
 top, as in the subscript convention: a gate written with control i and
 target j acts control-on-wire-i.
 """
@@ -76,8 +76,9 @@ def _run(c: Circuit, t: np.ndarray, first: int = 0, lo: int | None = None) -> np
     place, each at its axes put first by ``transpose``; return ``t`` as (d,)*n + (cols,).
 
     Given ``lo``, ``t`` is a box of ``_blocks``, (h,) + (d,)*(n-1) + (cols,): the labels whose
-    wire 1 digit is lo..lo+h-1, which no op changes.  An op on wire 1 is then cut to them, and
-    any other op's columns are a range of its whole call's, from its column ``lo * per``.
+    wire 1 digit is lo..lo+h-1, on which only phase gates act.  An op on wire 1 then takes the
+    view of its phases at those digits, and any other op's columns are a range of its whole
+    call's, from its column ``lo * per``.
     """
     d = c.d
     t, lo = (t.reshape((d,) * c.n + (-1,)), 0) if lo is None else (t, lo)
@@ -85,24 +86,13 @@ def _run(c: Circuit, t: np.ndarray, first: int = 0, lo: int | None = None) -> np
     for op, g in zip(c.ops[first:], c.gates[first:]):
         wires = [w - 1 for w in op.wires]
         front = t.transpose(wires + [i for i in range(t.ndim) if i not in wires])
-        if 0 in wires:  # wire 1 is among the rows: a box cuts the gate, not the columns
-            _apply(_cut(g, d, len(wires), wires.index(0), lo, h) if h < d else g, front, len(wires))
+        if 0 in wires:  # wire 1 is among the rows: a box cuts the phases, not the columns
+            k, cut = len(wires), (slice(None),) * wires.index(0) + (slice(lo, lo + h),)
+            _apply(g if h == d else SimpleNamespace(phases=g.phases.reshape((d,) * k)[cut]), front, k)
         else:
             per = t.size // h // d ** len(wires)  # the whole call's columns per digit of wire 1
             _apply(g, front, len(wires), lo * per, d * per)
     return t
-
-
-def _cut(g: GateMatrix, d: int, k: int, at: int, lo: int, h: int) -> SimpleNamespace:
-    """``g``, a table or phase gate on k qudits that keeps its digit ``at``, on the labels
-    whose digit there is lo..lo+h-1, in order: a gate's fields, left unchecked."""
-    box = (slice(None),) * at + (slice(lo, lo + h),)
-    if g.phases is not None:
-        return SimpleNamespace(matrix=None, perm=None, phases=g.phases.reshape((d,) * k)[box])
-    labels = np.arange(g.dim).reshape((d,) * k)[box].ravel()
-    place = np.empty(g.dim, dtype=np.intp)
-    place[labels] = np.arange(labels.size)  # each of them by its place among them
-    return SimpleNamespace(matrix=None, perm=place[g.perm[labels]], phases=None)
 
 
 def _apply(g: GateMatrix, front: np.ndarray, k: int, offset: int = 0, whole: int = 0) -> None:
@@ -207,9 +197,10 @@ def _blocks(c: Circuit) -> tuple:
     label's kept part, ``parts`` the free parts of the block columns, in order, and ``col``
     each label's own block column.  ``boxes`` yields (rows, t): the blocks of the row labels
     ``rows``, as (h,) + (d,)*(n-1) + (d^f,), free wire axes first in memory, in one buffer
-    that each box reuses, so a box is read before the next is asked for.  When wire 1 is
-    kept, a box is a range of its digits, ``_BOX`` entries with a dense op's pad at most;
-    else it is every label.
+    that each box reuses, so a box is read before the next is asked for.  When every op on
+    wire 1 is a phase gate, a box is a range of its digits, ``_BOX`` entries with a dense op's
+    pad at most; else it is every label, d^(n+f) entries checked against the budget first,
+    even when a table on wire 1 keeps its digit.
     """
     d, n = c.d, c.n
     free = sorted({w - 1 for op, g in zip(c.ops, c.gates)
@@ -217,14 +208,14 @@ def _blocks(c: Circuit) -> tuple:
     k = len(free)
     _check_budget(d, n + k)
     per = d ** (n + k - 1)  # entries per digit of wire 1
-    # boxes of wire 1's digits, unless a dense op acts on wire 1 or has under 8 columns a
-    # digit (a box edge might cut its last partial panel); a dense op whose columns of a
-    # digit are not whole panels adds 14 pad columns to a box at most
-    split, pad = 0 not in free, 0
-    for op, g in zip(c.ops, c.gates):
+    # boxes of wire 1's digits, unless an op on wire 1 is not a phase gate or a dense op has
+    # under 8 columns a digit (a box edge might cut its last partial panel); a dense op whose
+    # columns of a digit are not whole panels adds 14 pad columns to a box at most
+    split, pad = all(g.phases is not None for op, g in zip(c.ops, c.gates) if 1 in op.wires), 0
+    for g in c.gates:
         if g.matrix is not None:  # dim = d^k rows, per // dim columns a digit
             dim = len(g.matrix)
-            split = split and 1 not in op.wires and per // dim >= 8
+            split = split and per // dim >= 8
             pad = max(pad, 14 * dim if per // dim % 8 else 0)
     step = max(1, (_BOX - pad) // per) if split else d
     # the label map comes first, so nothing a gate set keeps lies above the box

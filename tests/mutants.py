@@ -92,6 +92,14 @@ MUTANTS = [
         ("tests/test_verify.py::test_verify_all_faults_in_no_pages_while_the_caller_holds_arrays",),
     ),
     Mutant(
+        "a table on the kept wire 1 left in a box",
+        "src/quditswap/circuit.py",
+        "    split, pad = all(g.phases is not None for op, g in zip(c.ops, c.gates) if 1 in op.wires), 0\n",
+        "    split, pad = 0 not in free, 0\n",
+        ("tests/test_oracles.py::test_boxed_blocks_match_the_whole_array_bit_for_bit",
+         "tests/test_oracles.py::test_a_kept_wire_1_runs_the_blocks_a_box_of_its_digits_at_a_time"),
+    ),
+    Mutant(
         "cli.main without MemoryError",
         "src/quditswap/cli.py",
         "except (ValueError, OSError, MemoryError) as exc:",

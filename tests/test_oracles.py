@@ -319,9 +319,10 @@ def boxed_circuits(draw):
     and the box size its blocks run in.
 
     Drawn from all ten kinds: each op moves the free wires alone, so a kept wire 1
-    takes tables (ID, X at d = 2, a control) and phases; wire 1 is free in one
-    circuit in four, and the blocks are then one box.  Boxes of one digit of wire 1
-    put an edge next to a dense op's last partial panel when d is odd.
+    takes tables (ID, X at d = 2, a control) and phases, and only a wire 1 that takes
+    phases alone is cut into boxes; wire 1 is free in one circuit in four.  Otherwise
+    the blocks are one box.  Boxes of one digit of wire 1 put an edge next to a dense
+    op's last partial panel when d is odd.
     """
     d = draw(st.integers(2, 64))
     n = draw(st.integers(2, max(k for k in (2, 3, 4) if k == 2 or d ** (k + 1) <= 2**16)))
@@ -392,6 +393,17 @@ def test_a_kept_wire_1_runs_the_blocks_a_box_of_its_digits_at_a_time():
     # wire 1 free: one box of every label
     (rows, t), = _blocks(Circuit(40, 2, _ops(40, (GateKind.QFT, (1,)))))[3]
     assert rows == slice(0, 1600) and t.shape == (40, 40, 40)
+    # a table on wire 1 keeps its digit but not its box: one box of every label, as one array
+    for c in (Circuit(40, 2, _ops(40, (GateKind.CXd, (1, 2)), (GateKind.QFT, (2,)))),
+              Circuit(64, 2, (GateOp(GateKind.Identity, (1,)), *cx_tilde_decomposition(64).ops))):
+        d = c.d
+        (rows, t), = _blocks(c)[3]
+        assert rows == slice(0, d * d) and t.shape == (d, d, d)
+        assert np.array_equal(_bits(_boxed_blocks(c)[0]), _bits(oracles.whole_blocks(c)[0]))
+        table = gate_matrix(GateKind.CXTilde, d)
+        assert table_dist(c, table).hex() == oracles.table_dist(c, table).hex()
+        got_u, want_u = circuit_unitary(c), oracles.circuit_unitary(c)
+        assert np.array_equal(_bits(got_u.entries), _bits(want_u.entries))
 
 
 @pytest.mark.parametrize("c", KEPT_WIRE_CIRCUITS, ids=lambda c: f"d{c.d}n{c.n}-{len(c.ops)}ops")
