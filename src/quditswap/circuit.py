@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -75,31 +74,33 @@ def _run(c: Circuit, t: np.ndarray, first: int = 0, lo: int | None = None) -> np
     """Apply the ops of ``c`` from op ``first`` to ``t``, C-contiguous or (d,)*n + (cols,), in
     place, each at its axes put first by ``transpose``; return ``t`` as (d,)*n + (cols,).
 
-    Given ``lo``, ``t`` is a box of ``_blocks``, (h,) + (d,)*(n-1) + (cols,): the labels whose
-    wire 1 digit is lo..lo+h-1, on which only phase gates act.  An op on wire 1 then takes the
-    view of its phases at those digits, and any other op's columns are a range of its whole
-    call's, from its column ``lo * per``.
+    A phase gate scales them where they lie, its phases at wire 1's digits ``lo:lo + h`` (all
+    outside a box); ``_apply`` takes a table or dense op.  Given ``lo``, ``t`` is a box of
+    ``_blocks``, (h,) + (d,)*(n-1) + (cols,): the labels whose wire 1 digit is lo..lo+h-1, on
+    which only phase gates act, so any other op's columns are a range of its whole call's.
     """
     d = c.d
     t, lo = (t.reshape((d,) * c.n + (-1,)), 0) if lo is None else (t, lo)
     h = t.shape[0]
     for op, g in zip(c.ops[first:], c.gates[first:]):
         wires = [w - 1 for w in op.wires]
-        front = t.transpose(wires + [i for i in range(t.ndim) if i not in wires])
-        if 0 in wires:  # wire 1 is among the rows: a box cuts the phases, not the columns
-            k, cut = len(wires), (slice(None),) * wires.index(0) + (slice(lo, lo + h),)
-            _apply(g if h == d else SimpleNamespace(phases=g.phases.reshape((d,) * k)[cut]), front, k)
-        else:
-            per = t.size // h // d ** len(wires)  # the whole call's columns per digit of wire 1
-            _apply(g, front, len(wires), lo * per, d * per)
+        k, front = len(wires), t.transpose(wires + [i for i in range(t.ndim) if i not in wires])
+        if g.phases is not None:  # taken in memory order, the multiply buffers only the phases
+            cut = (slice(None),) * wires.index(0) + (slice(lo, lo + h),) if 0 in wires else ()
+            mem = sorted(range(front.ndim), key=front.strides.__getitem__)[::-1]
+            ph = g.phases.reshape((d,) * k + (1,) * (front.ndim - k))[cut].transpose(mem)
+            np.multiply(ph, front.transpose(mem), out=front.transpose(mem))
+        else:  # the whole call's columns are d / h times the box's, multiplied before divided
+            cols = t.size // d**k
+            _apply(g, front, k, lo * cols // h, d * cols // h)
     return t
 
 
 def _apply(g: GateMatrix, front: np.ndarray, k: int, offset: int = 0, whole: int = 0) -> None:
-    """Apply ``g`` to the k leading axes of ``front``, in place.
+    """The slab kernel of a table or a dense matrix ``g``: apply it to the k leading axes of
+    ``front``, in place.
 
-    A phase gate scales them where they lie.  For a table or a dense matrix, the
-    d^k rows and W columns (the other axes, in order) go one box of ``_slabs`` at a
+    The d^k rows and W columns (the other axes, in order) go one box of ``_slabs`` at a
     time: read where it lies if ``front`` is C-contiguous and the box needs no pad,
     else gathered into a slab buffer, then through a second buffer and back.  The
     columns are columns ``offset`` on of a call over ``whole`` (W if 0) columns.
@@ -107,11 +108,6 @@ def _apply(g: GateMatrix, front: np.ndarray, k: int, offset: int = 0, whole: int
     ``G @ rows`` over all of them: zero columns put it at its places mod 8, fill its last
     panel unless it ends the whole call, and lead a lone column, else a matrix-vector product.
     """
-    if g.phases is not None:  # taken in memory order, the multiply buffers only the phases
-        mem = sorted(range(front.ndim), key=front.strides.__getitem__)[::-1]
-        ph = g.phases.reshape(front.shape[:k] + (1,) * (front.ndim - k)).transpose(mem)
-        np.multiply(ph, front.transpose(mem), out=front.transpose(mem))
-        return
     rows = math.prod(front.shape[:k])
     cols = front.size // rows
     whole = whole or cols

@@ -55,6 +55,23 @@ MUTANTS = [
          "tests/test_golden.py::test_verify_json_keeps_its_golden_text"),
     ),
     Mutant(
+        "a box's phases read from wire 1's first digits",
+        "src/quditswap/circuit.py",
+        "slice(lo, lo + h)",
+        "slice(0, h)",
+        ("tests/test_oracles.py::test_boxed_blocks_match_the_whole_array_bit_for_bit",
+         "tests/test_oracles.py::test_blocks_of_the_in_place_kernel_match_the_pingpong_kernel",
+         "tests/test_circuit.py::test_decomposition_reproduces_cx_tilde[32]",
+         "tests/test_golden.py::test_verify_json_keeps_its_golden_text"),
+    ),
+    Mutant(
+        "a box's phases cut on their first axis",
+        "src/quditswap/circuit.py",
+        "cut = (slice(None),) * wires.index(0) + (slice(lo, lo + h),) if 0 in wires else ()",
+        "cut = (slice(lo, lo + h),) if 0 in wires else ()",
+        ("tests/test_oracles.py::test_boxed_blocks_match_the_whole_array_bit_for_bit",),
+    ),
+    Mutant(
         "gate_matrix stores a patched gate under the unpatched builder's key",
         "src/quditswap/gates.py",
         "    return shared(_BUILDERS[kind], d)\n",
@@ -215,8 +232,8 @@ MUTANTS = [
     Mutant(
         "boxed dense op placed at column 0 of its whole call",
         "src/quditswap/circuit.py",
-        "            _apply(g, front, len(wires), lo * per, d * per)\n",
-        "            _apply(g, front, len(wires))\n",
+        "            _apply(g, front, k, lo * cols // h, d * cols // h)\n",
+        "            _apply(g, front, k)\n",
         ("tests/test_oracles.py::test_boxed_blocks_match_the_whole_array_bit_for_bit",),
     ),
     Mutant(

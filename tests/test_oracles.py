@@ -365,6 +365,8 @@ def boxed_circuits(draw):
 @example((Circuit(7, 2, _ops(7, (GateKind.QFT, (1,)), (GateKind.CZd, (1, 2)),
                            (GateKind.QFT, (2,)))), 1), 0)
 @example((Circuit(2, 2, _ops(2, (GateKind.CZd, (1, 2)))), 1), 0)  # no free wire: phases
+@example((Circuit(9, 2, _ops(9, (GateKind.QFT, (2,)), (GateKind.CZd, (2, 1)),
+                           (GateKind.QFT, (2,)))), 300), 0)  # wire 1 second: its phases' axis 1 cut
 def test_boxed_blocks_match_the_whole_array_bit_for_bit(case, seed):
     c, box = case
     rng = np.random.default_rng(seed)
