@@ -14,7 +14,6 @@ target j acts control-on-wire-i.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -96,21 +95,20 @@ def _run(c: Circuit, t: np.ndarray, first: int = 0, lo: int | None = None) -> np
     return t
 
 
-def _apply(g: GateMatrix, front: np.ndarray, k: int, offset: int = 0, whole: int = 0) -> None:
+def _apply(g: GateMatrix, front: np.ndarray, k: int, offset: int, whole: int) -> None:
     """The slab kernel of a table or a dense matrix ``g``: apply it to the k leading axes of
     ``front``, in place.
 
     The d^k rows and W columns (the other axes, in order) go one box of ``_slabs`` at a
     time: read where it lies if ``front`` is C-contiguous and the box needs no pad,
     else gathered into a slab buffer, then through a second buffer and back.  The
-    columns are columns ``offset`` on of a call over ``whole`` (W if 0) columns.
+    columns are columns ``offset`` on of a call over ``whole`` columns.
     OpenBLAS computes a column by its 8-wide panel, so a dense box keeps the bits of one
     ``G @ rows`` over all of them: zero columns put it at its places mod 8, fill its last
     panel unless it ends the whole call, and lead a lone column, else a matrix-vector product.
     """
-    rows = math.prod(front.shape[:k])
+    rows = g.dim
     cols = front.size // rows
-    whole = whole or cols
     flat = front.flags.c_contiguous  # then a box is a column range of a 2-D view
     src, lead = (front.reshape(rows, cols), 1) if flat else (front, k)
     spans, width, gather = [], 0, not flat

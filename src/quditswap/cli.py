@@ -40,7 +40,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     reports = verify_all(args.d_min, args.d_max)
     if args.tolerance is not None:
-        reports = [dataclasses.replace(r, tolerance=args.tolerance) for r in reports]
+        reports = [dataclasses.replace(r, tolerance=abs(args.tolerance)) for r in reports]  # -0.0 as 0.0
     failures = sum(not r.passed for r in reports)
     for r in reports:
         if args.json:

@@ -233,7 +233,7 @@ MUTANTS = [
         "boxed dense op placed at column 0 of its whole call",
         "src/quditswap/circuit.py",
         "            _apply(g, front, k, lo * cols // h, d * cols // h)\n",
-        "            _apply(g, front, k)\n",
+        "            _apply(g, front, k, 0, cols)\n",
         ("tests/test_oracles.py::test_boxed_blocks_match_the_whole_array_bit_for_bit",),
     ),
     Mutant(

@@ -332,6 +332,16 @@ def test_verify_rejects_bad_tolerance(tol, capsys):
     assert "--tolerance" in err
 
 
+def test_verify_reports_a_negative_zero_tolerance_as_zero(capsys):
+    args = ["verify", "--d-min", "2", "--d-max", "2", "--tolerance", "-0.0"]
+    code, out, _ = run(args + ["--json"], capsys)
+    assert code == 1
+    assert {json.dumps(json.loads(line)["tolerance"]) for line in out.splitlines()[:-1]} == {"0.0"}
+    code, out, _ = run(args, capsys)
+    assert code == 1
+    assert "tol=0.0e+00" in out and "-0.0" not in out
+
+
 def test_simulate_huge_register_names_d_n_without_printing_it(tmp_path, capsys):
     # 3^20000 has 9543 digits, more than int-to-str conversion allows
     f = tmp_path / "huge.qc"

@@ -247,7 +247,7 @@ def test_dense_slab_step_keeps_the_bits_of_the_whole_call(rows, cols, seed):
         for front in (x.reshape(rows, -1, inner).copy(),
                       x.reshape(rows, -1, inner).transpose(1, 0, 2).copy().transpose(1, 0, 2)):
             with mock.patch.object(circuit, "_SLAB", slab):
-                _apply(g, front, 1)
+                _apply(g, front, 1, 0, cols)
             assert np.array_equal(_bits(front.reshape(rows, cols)), _bits(want)), (slab, inner)
 
 

@@ -67,7 +67,8 @@ UNRUN = [
      'raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")',
      INPUT),
     ("cli.py", "cmd_verify",
-     "reports = [dataclasses.replace(r, tolerance=args.tolerance) for r in reports]",
+     "reports = [dataclasses.replace(r, tolerance=abs(args.tolerance)) for r in reports]"
+     "  # -0.0 as 0.0",
      "api: tests/test_cli.py::test_verify_tolerance_override_can_fail"),
     ("cli.py", "cmd_verify", 'print(f"{r.identity_name:<16} d={r.d:<3} max_dev={r.max_dev:.3e} "',
      "outside: the text report of `quditswap verify`, tests/test_cli.py::test_verify_pass"),
