@@ -212,8 +212,6 @@ def _blocks(c: Circuit) -> tuple:
             split = split and per // dim >= 8
             pad = max(pad, 14 * dim if per // dim % 8 else 0)
     step = max(1, (_BOX - pad) // per) if split else d
-    # the label map comes first, so nothing a gate set keeps lies above the box
-    # buffer in the heap, where freeing it would trim the heap and fault it back in
     labels = shared(_label_map, d, n, tuple(free))
     buf = np.empty(min(step, d) * per, dtype=np.complex128)
     # the identity once per kept part, free wire axes first; a dense op 0 on the

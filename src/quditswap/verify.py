@@ -69,9 +69,9 @@ def _delta_sum_dev(d: int) -> float:
 
     The sum depends on x, y, l only through the unreduced m = x+y+l in
     0..3d-3, so it is evaluated once per m, adding the k terms in order.
-    The m go ``_BOX // 4`` terms at a time, so that a chunk's arrays, about 48
-    bytes a term, stay under the 128 KiB of free heap that glibc keeps rather
-    than gives back to be faulted in again on the next call.
+    The m go ``_BOX // 4`` terms at a time, so that each array of a chunk stays
+    under glibc's 128 KiB mmap threshold: in one chunk, d = 64's are mapped and
+    faulted in anew on every call, about 1,300 faults in 10 ``verify_all`` passes.
     """
     k, worst, rows = np.arange(d), 0.0, max(1, _BOX // 4 // d)
     for lo in range(0, 3 * d - 2, rows):

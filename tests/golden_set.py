@@ -11,7 +11,8 @@ writes ``tests/golden/``:
   of every ``matrix`` output (the ten mnemonics at d = 2, 3, 7 and 16, csv and
   json) and of ``simulate`` text and ``--json`` on the circuits and amplitude
   files in ``golden/inputs``, with the environment the float outputs depend
-  on: numpy, its BLAS, and the CPU features numpy dispatches on.
+  on: numpy, its BLAS, the OpenBLAS core (the kernel set it picked at load),
+  and the CPU features numpy dispatches on.
 
 ``tests/test_golden.py`` and ``tests/test_demos.py`` regenerate the set and
 compare.  Regenerate it only when an output is meant to change, and record
@@ -21,6 +22,7 @@ what moved and why.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -123,13 +125,30 @@ def first_record_difference(text: str, got: dict, want: dict) -> str:
             f"(the recorded output has {len(b) // 8} lines)")
 
 
+def openblas_core() -> str | None:
+    """The kernel set numpy's OpenBLAS picked when it loaded (by CPU, or ``OPENBLAS_CORETYPE``).
+
+    The function is looked up by name in numpy's extension module, whose dependencies include
+    the OpenBLAS it loaded; None if that BLAS does not export it.
+    """
+    from numpy._core import _multiarray_umath as umath
+
+    name = getattr(ctypes.CDLL(umath.__file__), "scipy_openblas_get_corename64_", None)
+    if name is None:
+        return None
+    name.restype = ctypes.c_char_p
+    return name().decode()
+
+
 def environment() -> dict:
-    """The numpy version, its BLAS, and the CPU features numpy's kernels dispatch on."""
+    """The numpy version, its BLAS and the kernels OpenBLAS picked, and the CPU features numpy's
+    kernels dispatch on."""
     from numpy._core import _multiarray_umath as umath
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "openblas_core": openblas_core(),
             "cpu_features": dict(umath.__cpu_features__),
             "cpu_dispatch": list(umath.__cpu_dispatch__)}
 

@@ -100,15 +100,6 @@ MUTANTS = [
         ("tests/test_circuit.py::test_a_builder_patched_between_verify_all_calls_is_seen",),
     ),
     Mutant(
-        "label map made after the large array",
-        "src/quditswap/circuit.py",
-        "    labels = shared(_label_map, d, n, tuple(free))\n"
-        "    buf = np.empty(min(step, d) * per, dtype=np.complex128)\n",
-        "    buf = np.empty(min(step, d) * per, dtype=np.complex128)\n"
-        "    labels = shared(_label_map, d, n, tuple(free))\n",
-        ("tests/test_verify.py::test_verify_all_faults_in_no_pages_while_the_caller_holds_arrays",),
-    ),
-    Mutant(
         "a table on the kept wire 1 left in a box",
         "src/quditswap/circuit.py",
         "    split, pad = all(g.phases is not None for op, g in zip(c.ops, c.gates) if 1 in op.wires), 0\n",
@@ -225,9 +216,16 @@ MUTANTS = [
         "src/quditswap/circuit.py",
         "_BOX = 8000\n",
         "_BOX = 2**15\n",
-        ("tests/test_verify.py::test_the_first_pass_at_a_larger_d_faults_in_few_pages",
+        ("tests/test_verify.py::test_verify_all_faults_in_few_pages_on_a_pinned_heap",
          "tests/test_oracles.py::test_decomposition_distance_allocates_a_box_and_buffers"
          "_under_128_kib[64]"),
+    ),
+    Mutant(
+        "delta sum in one chunk",
+        "src/quditswap/verify.py",
+        "k, worst, rows = np.arange(d), 0.0, max(1, _BOX // 4 // d)",
+        "k, worst, rows = np.arange(d), 0.0, 3 * d",
+        ("tests/test_verify.py::test_verify_all_faults_in_few_pages_on_a_pinned_heap",),
     ),
     Mutant(
         "boxed dense op placed at column 0 of its whole call",

@@ -9,16 +9,26 @@
   that of a fresh ``python -c "import quditswap.cli"``. It runs at full
   speed, but RSS moves in steps of about 2 MB, so it serves claims about
   arrays of tens of MB.
+* ``pinned_heap_faults(script)``: the integers a fresh child prints after
+  running ``script`` on a pinned heap, with ``faults(fn)`` (the minor page
+  faults of one call) defined for it.  glibc moves its mmap threshold and
+  trims its heap by what the process did before, so an unpinned count
+  follows the environment block; pinned, an array of 128 KiB or more is
+  mapped anew (and faulted in) on every allocation, and a freed heap is
+  never given back, so the count follows the code alone.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+
+import pytest
 
 import quditswap
 
@@ -69,3 +79,26 @@ def _import_rss() -> int:
 def rss_over_import(argv) -> int:
     """Peak RSS in bytes of a fresh ``python *argv`` over an import-only child."""
     return _peak_rss(argv) - _import_rss()
+
+
+# glibc's M_MMAP_THRESHOLD (-3) at 128 KiB, its default, made static, and M_TRIM_THRESHOLD
+# (-1) at 1 GiB, before numpy's import; mallopt returns 1 when it takes a setting
+_PIN = """
+import ctypes, resource
+libc = ctypes.CDLL(None)
+assert libc.mallopt(-3, 128 * 1024) == 1 and libc.mallopt(-1, 2**30) == 1
+
+def faults(fn):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+"""
+
+
+def pinned_heap_faults(script: str) -> list[int]:
+    """The integers a fresh ``python -c script`` prints, run on a pinned glibc heap."""
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library has no mallopt (not glibc), so the heap cannot be pinned")
+    out = subprocess.run([sys.executable, "-c", _PIN + script], env=child_env(), check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    return [int(x) for x in out.split()]

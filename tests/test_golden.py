@@ -26,3 +26,11 @@ def test_matrix_and_simulate_keep_their_recorded_outputs():
             moved.append(f"{name}: {golden_set.first_record_difference(text, got, want)}")
     assert not moved, "\n".join(
         [*moved, golden_set.environment_note(MANIFEST["environment"])])
+
+
+def test_environment_note_names_a_recorded_openblas_core_that_differs():
+    recorded = dict(golden_set.environment(), openblas_core="Katmai")
+    assert golden_set.environment_note(recorded) == (
+        "the environment differs from the recorded one in: openblas_core")
+    assert golden_set.environment_note(golden_set.environment()) == (
+        "the environment is the recorded one")

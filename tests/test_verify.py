@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -12,7 +7,7 @@ from quditswap.core import DimensionError, StateVector
 from quditswap.circuit import simulate, swap_circuit
 from quditswap.verify import IDENTITIES, verify_all, verify_identity
 
-from probes import peak_bytes
+from probes import peak_bytes, pinned_heap_faults
 
 
 def test_verify_swap():
@@ -156,57 +151,31 @@ def test_verify_all_green():
     assert all(r.passed for r in verify_all(2, 16))
 
 
-_HELD_ARRAYS_RUN = """
-import resource
+_FAULTS_RUN = """
 import numpy as np
 from quditswap.verify import verify_all
 
-def faults(passes):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(passes):
-        verify_all(32, 32)
-        verify_all(40, 40)
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-
-held = [np.ones(1000 + k) for k in range(40)]  # arrays the caller keeps between calls
-faults(3)
-print(faults(10))
-"""
-
-
-def test_verify_all_faults_in_no_pages_while_the_caller_holds_arrays():
-    # glibc returns the free top of the heap to the kernel; were a gate set's
-    # label map made after a circuit's large array, the map would sit above it,
-    # and each freed array would be given back and faulted in again: about
-    # 1,000 minor faults (4 MB) a pass in this fresh process
-    src = str(Path(quditswap.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", _HELD_ARRAYS_RUN], env=env, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout
-    assert int(out) < 10 * 100
-
-
-_FIRST_PASSES_RUN = """
-import resource
-from quditswap.verify import verify_all
-
-def faults(d):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    verify_all(d, d)
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+def passes(ds, times):
+    for _ in range(times):
+        for d in ds:
+            verify_all(d, d)
 
 verify_all(32, 32)
-print(faults(40), faults(64))
+first = [faults(lambda: verify_all(d, d)) for d in (40, 64)]
+held = [np.ones(1000 + k) for k in range(40)]  # arrays the caller keeps between calls
+steady = []
+for ds in ([32, 40], [64]):
+    passes(ds, 3)
+    steady.append(faults(lambda: passes(ds, 10)))
+print(*first, *steady)
 """
 
 
-def test_the_first_pass_at_a_larger_d_faults_in_few_pages():
-    # every buffer of a check is under glibc's 128 KiB mmap threshold, so a larger
-    # d takes its pages from the heap; a d^(n+f) block array of 1 MB at d = 40 and
-    # 4 MB at d = 64 was mapped anew: 747 minor faults at d = 40
-    src = str(Path(quditswap.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", _FIRST_PASSES_RUN], env=env, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout
-    at_40, at_64 = map(int, out.split())
-    assert at_40 < 100 and at_64 < 100, (at_40, at_64)
+def test_verify_all_faults_in_few_pages_on_a_pinned_heap():
+    # every array of a check is under glibc's 128 KiB mmap threshold, so it takes its pages
+    # from the heap: a first pass at a larger d faults in few, and 10 later passes next to
+    # held arrays almost none; a d^(n+f) block array of 1 MB at d = 40 and 4 MB at d = 64,
+    # or a delta sum in one chunk at d = 64, was mapped and faulted in anew on every call
+    first_40, first_64, steady_32_40, steady_64 = pinned_heap_faults(_FAULTS_RUN)
+    assert max(first_40, first_64, steady_32_40, steady_64) < 100, (
+        first_40, first_64, steady_32_40, steady_64)

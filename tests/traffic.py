@@ -16,8 +16,9 @@ It then prints every statement of ``src/quditswap`` that none of them ran, by fi
 enclosing function, with the reason ``UNRUN`` gives for keeping it.  A statement is an ``ast``
 statement or ``except`` clause; it ran when a line of its own, not of a statement nested in
 it, ran.  It exits 1 when an unrun statement is not in ``UNRUN``, or when a statement listed
-there now runs: code that only tests reach needs a reason, and a stale reason goes.  It is
-not part of Tier-1.
+there now runs: code that only tests reach needs a reason, and a stale reason goes.  A
+statement is known by its code, not its comments (see ``statements``), so rewording a comment
+changes nothing here.  ``tests/test_traffic.py`` runs it in Tier-1, in a child process.
 """
 
 from __future__ import annotations
@@ -30,14 +31,15 @@ import json
 import runpy
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "quditswap"
 DENSE_2_24 = "dim 2\nwires 24\nQFT 1\nCX 1 2\nQFT 3\nCZ 3 4\nCXT 4 5\nQFT 24\n"
 
-# Every statement of src/ that no traffic runs, as (file, enclosing function, first line of its
-# source, stripped), with the reason it stays: an error raised on outside input; "api:" API
+# Every statement of src/ that no traffic runs, as (file, enclosing function, code, as
+# ``statements`` gives it), with the reason it stays: an error raised on outside input; "api:" API
 # generality that a named test pins; or "outside:" north-star traffic the bench does not send.
 INPUT = "input: an error raised on outside input"
 UNRUN = [
@@ -51,7 +53,7 @@ UNRUN = [
     ("circuit.py", "_moved", "return tuple(bool((x[g.perm] != x).any()) for x in digits)",
      "api: tests/test_oracles.py::test_a_kept_wire_1_runs_the_blocks_a_box_of_its_digits_at_a_time"),
     ("circuit.py", "circuit_unitary",
-     "return GateMatrix(phases=np.concatenate([t.flatten() for _, t in boxes]))  # copies",
+     "return GateMatrix(phases=np.concatenate([t.flatten() for _, t in boxes]))",
      "api: tests/test_oracles.py::test_phase_circuit_unitary_is_phases"),
     ("circuit.py", "table_dist",
      'raise DimensionError(f"expected a permutation table on {d**n} labels")',
@@ -67,10 +69,11 @@ UNRUN = [
      'raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")',
      INPUT),
     ("cli.py", "cmd_verify",
-     "reports = [dataclasses.replace(r, tolerance=abs(args.tolerance)) for r in reports]"
-     "  # -0.0 as 0.0",
+     "reports = [dataclasses.replace(r, tolerance=abs(args.tolerance)) for r in reports]",
      "api: tests/test_cli.py::test_verify_tolerance_override_can_fail"),
-    ("cli.py", "cmd_verify", 'print(f"{r.identity_name:<16} d={r.d:<3} max_dev={r.max_dev:.3e} "',
+    ("cli.py", "cmd_verify",
+     'print(f"{r.identity_name:<16} d={r.d:<3} max_dev={r.max_dev:.3e} " '
+     'f"tol={r.tolerance:.1e} {\'PASS\' if r.passed else \'FAIL\'}")',
      "outside: the text report of `quditswap verify`, tests/test_cli.py::test_verify_pass"),
     ("cli.py", "cmd_matrix", 'raise ValueError(f"unknown gate mnemonic {args.gate!r}")', INPUT),
     ("cli.py", "_read_lines", "continue",
@@ -88,14 +91,11 @@ UNRUN = [
     ("cli.py", "main", "except ParseError as exc:", INPUT),
     ("cli.py", "main", 'print(f"parse error: {exc}", file=sys.stderr)', INPUT),
     ("cli.py", "main",
-     "except (ValueError, OSError, MemoryError) as exc:  # UnicodeDecodeError, DimensionError too",
-     INPUT),
+     "except (ValueError, OSError, MemoryError) as exc:", INPUT),
     ("cli.py", "main",
-     "if isinstance(exc, BrokenPipeError):  # the flush at exit writes the rest to nowhere",
-     INPUT),
+     "if isinstance(exc, BrokenPipeError):", INPUT),
     ("cli.py", "main", 'with open(os.devnull, "w") as null, contextlib.suppress(OSError):', INPUT),
-    ("cli.py", "main", "os.dup2(null.fileno(), sys.stdout.fileno())  # a captured stdout has no fileno",
-     INPUT),
+    ("cli.py", "main", "os.dup2(null.fileno(), sys.stdout.fileno())", INPUT),
     ("cli.py", "main", 'print(f"error: {exc}", file=sys.stderr)', INPUT),
     ("cli.py", "main", "return 2", INPUT),
     ("cli.py", "<module>", "sys.exit(main())",
@@ -104,7 +104,8 @@ UNRUN = [
     ("core.py", "_check_budget",
      'raise DimensionError(f"an array of {d}^{k} entries exceeds budget {MAX_ENTRIES}")',
      INPUT),
-    ("core.py", "__post_init__", "raise DimensionError(", INPUT),
+    ("core.py", "__post_init__",
+     'raise DimensionError( f"expected {self.d ** self.n} amplitudes, got {amps.shape}" )', INPUT),
     ("core.py", "__post_init__",
      'raise ValueError(f"non-finite amplitude at index {lo + np.flatnonzero(~finite)[0]}")',
      INPUT),
@@ -192,8 +193,17 @@ def traffic(tmp: Path) -> None:
         raise SystemExit(f"dense 2^24 simulate: exit {code}, {len(text.splitlines())} lines")
 
 
-def statements(path: Path) -> list[tuple[int, set[int], str]]:
-    """(first line, own lines, enclosing function) of each statement of a source file."""
+def statements(source: str) -> list[tuple[int, set[int], str, str]]:
+    """(first line, own lines, enclosing function, code) of each statement of a source file.
+
+    The code is the statement's own lines with their comments cut, each stripped, joined by
+    a space: a comment added or reworded leaves it as it is.
+    """
+    lines = source.splitlines()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            row, col = tok.start
+            lines[row - 1] = lines[row - 1][:col]
     found = []
 
     def walk(node, where):
@@ -204,9 +214,10 @@ def statements(path: Path) -> list[tuple[int, set[int], str]]:
                           if isinstance(sub, (ast.stmt, ast.ExceptHandler))
                           for i in range(sub.lineno, sub.end_lineno + 1)}
                 own = set(range(start, child.end_lineno + 1)) - nested or {child.lineno}
-                found.append((child.lineno, own, where))
+                code = " ".join(filter(None, (lines[i - 1].strip() for i in sorted(own))))
+                found.append((child.lineno, own, where, code))
             walk(child, child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where)
-    walk(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    walk(ast.parse(source), "<module>")
     return found
 
 
@@ -238,10 +249,10 @@ def main() -> int:
     reasons = {e[:3]: e[3] for e in UNRUN}
     unlisted = total = 0
     for path in sorted(SRC.glob("*.py")):
-        text, code = path.read_text(encoding="utf-8").splitlines(), code_lines(path)
-        for first, own, where in statements(path):
+        code = code_lines(path)
+        for first, own, where, text in statements(path.read_text(encoding="utf-8")):
             if own & code and not {(str(path), i) for i in own} & ran:
-                key, total = (path.name, where, text[first - 1].strip()), total + 1
+                key, total = (path.name, where, text), total + 1
                 why = reasons[key] if listed[key] > 0 else "NOT LISTED"
                 unlisted += why == "NOT LISTED"
                 listed[key] = max(listed[key] - 1, 0)
