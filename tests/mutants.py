@@ -216,7 +216,8 @@ MUTANTS = [
         "src/quditswap/circuit.py",
         "_BOX = 8000\n",
         "_BOX = 2**15\n",
-        ("tests/test_verify.py::test_verify_all_faults_in_few_pages_on_a_pinned_heap",
+        ("tests/test_verify.py::test_the_first_pass_at_a_larger_d_faults_in_few_pages",
+         "tests/test_verify.py::test_verify_all_faults_in_no_pages_while_the_caller_holds_arrays",
          "tests/test_oracles.py::test_decomposition_distance_allocates_a_box_and_buffers"
          "_under_128_kib[64]"),
     ),
@@ -225,7 +226,7 @@ MUTANTS = [
         "src/quditswap/verify.py",
         "k, worst, rows = np.arange(d), 0.0, max(1, _BOX // 4 // d)",
         "k, worst, rows = np.arange(d), 0.0, 3 * d",
-        ("tests/test_verify.py::test_verify_all_faults_in_few_pages_on_a_pinned_heap",),
+        ("tests/test_verify.py::test_verify_all_faults_in_no_pages_while_the_caller_holds_arrays",),
     ),
     Mutant(
         "boxed dense op placed at column 0 of its whole call",
